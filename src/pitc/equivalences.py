@@ -1,10 +1,14 @@
 """Deciders for strong pomset, step, hp-, and hhp-bisimilarity on bounded
 unfoldings.
 
-All four are late-style: matched input steps must leave residuals related
-under instantiation of the bound placeholder with every free name of the
-two processes plus one fresh name.  Verdicts are bounded by the depth;
-for recursion-free terms the bound is exhaustive and the verdict exact.
+Step, pomset and hp are late-style and share one matching kernel,
+`semantics.late_instances`: matched input steps must leave residuals
+related under instantiation of the bound placeholder with every free name
+of the two processes plus one fresh name.  hhp is not: it compares event
+labels with placeholders abstracted, on one symbolic unfolding of each
+process, and never instantiates inputs.  Verdicts are bounded by the
+depth; for recursion-free terms the bound is exhaustive and the verdict
+exact.
 
 step / pomset   games over process pairs, matching step edges resp.
                 compositions of consecutive step edges.
@@ -25,14 +29,14 @@ from typing import Iterator, Optional, Sequence
 from .errors import StateBudgetExceeded
 from .parser import format_process
 from .syntax import (
-    EMPTY_ENV, Action, BoundOutput, Environment, Input, Name, Process,
-    all_names, canonical, free_names, fresh_name, fresh_names, has_call,
-    prefix_height, substitute,
+    EMPTY_ENV, Action, Environment, Name, Process, all_names, canonical,
+    has_call, prefix_height, substitute,
 )
 from .semantics import (
-    Alloc, ATerm, DEFAULT_GUARD_DEPTH, Transition, annotate, asubst,
-    class_bijections, erase, finalize_fires, format_label, label_classes,
-    label_key, map_guards, raw_steps, rename_action, transitions,
+    Alloc, ATerm, DEFAULT_GUARD_DEPTH, LateInstances, Transition, amap,
+    anames, annotate, asubst, class_bijections, erase, finalize, format_label,
+    instance_names, label_key, late_instances, raw_steps, relabel,
+    rename_action, transitions,
 )
 from .unfolding import (
     PomsetTransition, UnfoldedLTS, abstract_action, pomset_isos,
@@ -88,10 +92,28 @@ class _Budget:
                 f"equivalence check exceeded {self.limit} game states")
 
 
-def _testset(p: Process, q: Process, env: Environment) -> list[Name]:
-    base = sorted(free_names(p) | free_names(q))
-    fresh = fresh_name(all_names(p) | all_names(q) | env.names(), prefix="v")
-    return base + [fresh]
+def _by_key(items, key) -> dict:
+    """`items` grouped by `key`, each group in the given order."""
+    groups: dict = {}
+    for it in items:
+        groups.setdefault(key(it), []).append(it)
+    return groups
+
+
+def _covers(attackers, defenders, key, match) -> bool:
+    """Every attacker is matched by some defender with the same key."""
+    groups = _by_key(defenders, key)
+    return all(any(match(a, d) for d in groups.get(key(a), ()))
+               for a in attackers)
+
+
+def _label_key(step: Transition | _GameEdge) -> tuple:
+    return label_key(step.label)
+
+
+def _holds(eq, a: Process, b: Process, d: int, left_attacks: bool) -> bool:
+    """`eq` on an (attacker, defender) residual pair, left process first."""
+    return eq(a, b, d) if left_attacks else eq(b, a, d)
 
 
 # --------------------------------------------------------------------------
@@ -115,47 +137,31 @@ class _StepGame:
         avoid = all_names(p) | all_names(q)
         tp = transitions(p, self.env, avoid=avoid)
         tq = transitions(q, self.env, avoid=avoid)
-        result = (self._covers(tp, tq, p, q, d, left_attacks=True)
-                  and self._covers(tq, tp, p, q, d, left_attacks=False))
+        result = (
+            _covers(tp, tq, _label_key,
+                    lambda t, u: self._match(t, u, p, q, avoid, d, True))
+            and _covers(tq, tp, _label_key,
+                        lambda t, u: self._match(t, u, p, q, avoid, d, False)))
         self.memo[key] = result
         return result
 
-    def _covers(self, attackers: Sequence[Transition],
-                defenders: Sequence[Transition], p: Process, q: Process,
-                d: int, left_attacks: bool) -> bool:
-        for t in attackers:
-            tk = label_key(t.label)
-            if not any(self._match(t, u, p, q, d, left_attacks)
-                       for u in defenders if label_key(u.label) == tk):
-                return False
-        return True
+    def _late(self, t: Transition, u: Transition, p: Process, q: Process,
+              pq_names: frozenset[Name]
+              ) -> Iterator[tuple[dict, dict, LateInstances]]:
+        """Late matching of attacker `t` against defender `u`, steps of `p`
+        and `q`, whose names are `pq_names`; the pairs are (attacker
+        residual, defender residual)."""
+        names = instance_names(p, q, self.env)
+        avoid = (all_names(t.target) | all_names(u.target)
+                 | pq_names | set(names))
+        return late_instances(t.label, class_bijections(t.label, u.label),
+                              t.target, u.target, avoid, names, substitute)
 
     def _match(self, t: Transition, u: Transition, p: Process, q: Process,
-               d: int, left_attacks: bool) -> bool:
-        names = _testset(p, q, self.env)
-        for beta in class_bijections(t.label, u.label):
-            classes = label_classes(t.label)
-            avoid = (all_names(t.target) | all_names(u.target)
-                     | all_names(p) | all_names(q) | set(names))
-            commons = fresh_names(avoid, len(classes))
-            sub_t = {n: c for (n, _), c in zip(classes, commons)}
-            sub_u = {beta[n]: c for (n, _), c in zip(classes, commons)}
-            t2 = substitute(t.target, sub_t)
-            u2 = substitute(u.target, sub_u)
-            inputs = [c for (n, k), c in zip(classes, commons) if k == "in"]
-            ok = True
-            for values in product(names, repeat=len(inputs)):
-                inst = dict(zip(inputs, values))
-                a = substitute(t2, inst)
-                b = substitute(u2, inst)
-                if left_attacks:
-                    good = self.eq(a, b, d - 1)
-                else:
-                    good = self.eq(b, a, d - 1)
-                if not good:
-                    ok = False
-                    break
-            if ok:
+               pq_names: frozenset[Name], d: int, left_attacks: bool) -> bool:
+        for _, _, pairs in self._late(t, u, p, q, pq_names):
+            if all(_holds(self.eq, a, b, d - 1, left_attacks)
+                   for a, b in pairs):
                 return True
         return False
 
@@ -171,46 +177,26 @@ class _StepGame:
         tq = transitions(q, self.env, avoid=avoid)
         for attackers, defenders, side, flag in (
                 (tp, tq, "left", True), (tq, tp, "right", False)):
+            groups = _by_key(defenders, _label_key)
             for t in attackers:
-                tk = label_key(t.label)
-                cands = [u for u in defenders if label_key(u.label) == tk]
+                cands = groups.get(_label_key(t))
                 if not cands:
                     return path + [{"side": side, "label": format_label(t.label),
                                     "unmatched": True}]
-                if not any(self._match(t, u, p, q, d, flag) for u in cands):
-                    u = cands[0]
+                if not any(self._match(t, u, p, q, avoid, d, flag)
+                           for u in cands):
                     step = {"side": side, "label": format_label(t.label),
                             "unmatched": False}
-                    nxt = self._first_failing(t, u, p, q, d, flag)
+                    # No pairing matches, so the first one has a failing pair.
+                    _, _, first = next(self._late(t, cands[0], p, q, avoid),
+                                       (None, None, ()))
+                    nxt = next(((a, b) for a, b in first
+                                if not _holds(self.eq, a, b, d - 1, flag)),
+                               None)
                     if nxt is not None:
-                        a, b = nxt if flag else (nxt[1], nxt[0])
-                        return self._trace(a, b, d - 1, path + [step])
+                        return self._trace(*nxt, d - 1, path + [step])
                     return path + [step]
         return path
-
-    def _first_failing(self, t: Transition, u: Transition, p: Process,
-                       q: Process, d: int,
-                       left_attacks: bool) -> Optional[tuple[Process, Process]]:
-        names = _testset(p, q, self.env)
-        for beta in class_bijections(t.label, u.label):
-            classes = label_classes(t.label)
-            avoid = (all_names(t.target) | all_names(u.target)
-                     | all_names(p) | all_names(q) | set(names))
-            commons = fresh_names(avoid, len(classes))
-            sub_t = {n: c for (n, _), c in zip(classes, commons)}
-            sub_u = {beta[n]: c for (n, _), c in zip(classes, commons)}
-            t2 = substitute(t.target, sub_t)
-            u2 = substitute(u.target, sub_u)
-            inputs = [c for (n, k), c in zip(classes, commons) if k == "in"]
-            for values in product(names, repeat=len(inputs)):
-                inst = dict(zip(inputs, values))
-                a = substitute(t2, inst)
-                b = substitute(u2, inst)
-                bad = (not self.eq(a, b, d - 1)) if left_attacks \
-                    else (not self.eq(b, a, d - 1))
-                if bad:
-                    return (a, b) if left_attacks else (b, a)
-        return None
 
 
 def check_step(p: Process, q: Process, env: Environment = EMPTY_ENV,
@@ -260,38 +246,27 @@ class _PomsetGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        ps = self._pomsets(p, q, d)
-        qs = self._pomsets(q, p, d)
-        result = (self._covers(ps, qs, p, q, d, left_attacks=True)
-                  and self._covers(qs, ps, p, q, d, left_attacks=False))
+        p_names, q_names = all_names(p), all_names(q)
+        pq_names = p_names | q_names
+        ps = self._pomsets(p, q_names, d)
+        qs = self._pomsets(q, p_names, d)
+        result = (
+            _covers(ps, qs, _pomset_key,
+                    lambda a, b: self._match(a, b, p, q, pq_names, d, True))
+            and _covers(qs, ps, _pomset_key,
+                        lambda a, b: self._match(a, b, p, q, pq_names, d,
+                                                 False)))
         self.memo[key] = result
         return result
 
-    def _pomsets(self, p: Process, other: Process,
+    def _pomsets(self, p: Process, avoid: frozenset[Name],
                  d: int) -> list[tuple[PomsetTransition, Process]]:
         layers = min(d, self.max_pomset)
-        u = unfold(p, self.env, layers, avoid=all_names(other),
-                   budget=self.budget.limit)
+        u = unfold(p, self.env, layers, avoid=avoid, budget=self.budget.limit)
         out = []
         for x in pomset_transitions(u, frozenset(), self.max_pomset):
             out.append((x, u.nodes[x.target].plain))
         return out
-
-    def _covers(self, attackers, defenders, p, q, d, left_attacks) -> bool:
-        for x1, tgt1 in attackers:
-            sig = tuple(sorted(str(abstract_action(a)) for a in x1.actions))
-            ok = False
-            for x2, tgt2 in defenders:
-                if len(x2.events) != len(x1.events):
-                    continue
-                if tuple(sorted(str(abstract_action(a)) for a in x2.actions)) != sig:
-                    continue
-                if self._match(x1, tgt1, x2, tgt2, p, q, d, left_attacks):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
 
     def explain(self, p: Process, q: Process, depth: int) -> dict:
         """Smallest unmatched pomset at the first depth that separates."""
@@ -299,61 +274,41 @@ class _PomsetGame:
             if self.eq(p, q, dd):
                 continue
             for side, a, b in (("left", p, q), ("right", q, p)):
-                attackers = self._pomsets(a, b, dd)
-                defenders = self._pomsets(b, a, dd)
+                a_names, b_names = all_names(a), all_names(b)
+                ab_names = a_names | b_names
+                attackers = self._pomsets(a, b_names, dd)
+                defenders = self._pomsets(b, a_names, dd)
                 flag = side == "left"
-                for x1, tgt1 in sorted(attackers,
-                                       key=lambda it: len(it[0].events)):
-                    sig = tuple(sorted(str(abstract_action(ac))
-                                       for ac in x1.actions))
-                    cands = [
-                        (x2, tgt2) for x2, tgt2 in defenders
-                        if len(x2.events) == len(x1.events)
-                        and tuple(sorted(str(abstract_action(ac))
-                                         for ac in x2.actions)) == sig]
-                    if not any(self._match(x1, tgt1, x2, tgt2, a, b, dd, flag)
-                               for x2, tgt2 in cands):
+                groups = _by_key(defenders, _pomset_key)
+                for att in sorted(attackers, key=lambda it: len(it[0].events)):
+                    if not any(self._match(att, dfn, a, b, ab_names, dd, flag)
+                               for dfn in groups.get(_pomset_key(att), ())):
+                        x1 = att[0]
                         return {"side": side,
                                 "pomset": [str(ac) for ac in x1.actions],
                                 "ordered_pairs": sorted(x1.order)}
             break
         return {"note": "no matching pomset transition"}
 
-    def _match(self, x1, tgt1, x2, tgt2, p, q, d, left_attacks) -> bool:
-        names = _testset(p, q, self.env)
-        for _, rho in pomset_isos(x1, x2):
-            classes = _pomset_classes(x1)
-            avoid = (all_names(tgt1) | all_names(tgt2) | all_names(p)
-                     | all_names(q) | set(names))
-            commons = fresh_names(avoid, len(classes))
-            sub1 = {n: c for (n, _), c in zip(classes, commons)}
-            sub2 = {rho[n]: c for (n, _), c in zip(classes, commons)}
-            t1 = substitute(tgt1, sub1)
-            t2 = substitute(tgt2, sub2)
-            inputs = [c for (n, k), c in zip(classes, commons) if k == "in"]
-            ok = True
-            for values in product(names, repeat=len(inputs)):
-                inst = dict(zip(inputs, values))
-                a = substitute(t1, inst)
-                b = substitute(t2, inst)
-                good = self.eq(a, b, d - x1.steps) if left_attacks \
-                    else self.eq(b, a, d - x1.steps)
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    def _match(self, att: tuple[PomsetTransition, Process],
+               dfn: tuple[PomsetTransition, Process], p: Process, q: Process,
+               pq_names: frozenset[Name], d: int, left_attacks: bool) -> bool:
+        (x1, tgt1), (x2, tgt2) = att, dfn
+        names = instance_names(p, q, self.env)
+        avoid = all_names(tgt1) | all_names(tgt2) | pq_names | set(names)
+        rest = d - x1.steps
+        return any(
+            all(_holds(self.eq, a, b, rest, left_attacks) for a, b in pairs)
+            for _, _, pairs in late_instances(
+                x1.actions, (rho for _, rho in pomset_isos(x1, x2)), tgt1,
+                tgt2, avoid, names, substitute))
 
 
-def _pomset_classes(x: PomsetTransition) -> list[tuple[Name, str]]:
-    seen: dict[Name, str] = {}
-    for a in x.actions:
-        if isinstance(a, Input):
-            seen.setdefault(a.placeholder, "in")
-        elif isinstance(a, BoundOutput):
-            seen.setdefault(a.placeholder, "bout")
-    return list(seen.items())
+def _pomset_key(item: tuple[PomsetTransition, Process]) -> tuple:
+    """Event count and sorted abstract labels: what an isomorphism keeps."""
+    x = item[0]
+    return len(x.events), tuple(sorted([abstract_action(a)
+                                        for a in x.actions]))
 
 
 def check_pomset(p: Process, q: Process, env: Environment = EMPTY_ENV,
@@ -380,7 +335,7 @@ def check_pomset(p: Process, q: Process, env: Environment = EMPTY_ENV,
 
 @dataclass(frozen=True, slots=True)
 class _GameEdge:
-    actions: tuple[Action, ...]
+    label: tuple[Action, ...]
     causes: tuple[frozenset[int], ...]
     eids: tuple[int, ...]
     target: ATerm
@@ -413,11 +368,13 @@ class _HpGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        avoid = base | anames_of(ap1) | anames_of(ap2)
+        avoid = base | anames(ap1) | anames(ap2)
         e1s = self._edges(ap1, avoid, len(c1))
         e2s = self._edges(ap2, avoid, len(c2))
-        ok = (self._covers(e1s, e2s, c1, c2, f, ap1, ap2, d, base, True)
-              and self._covers(e2s, e1s, c1, c2, f, ap1, ap2, d, base, False))
+        ok = (_covers(e1s, e2s, _label_key,
+                      lambda e1, e2: self._try(e1, e2, c1, c2, f, d, base))
+              and _covers(e2s, e1s, _label_key,
+                          lambda e2, e1: self._try(e1, e2, c1, c2, f, d, base)))
         self.memo[key] = ok
         if ok and len(self.witness) < 200:
             self.witness.append([sorted(c1), list(f), sorted(c2)])
@@ -430,52 +387,30 @@ class _HpGame:
         seen = set()
         for fires, target in raw_steps(ap, self.env, alloc,
                                        DEFAULT_GUARD_DEPTH):
-            ofires, atarget = finalize_fires(fires, target, avoid)
+            ofires, atarget = finalize(fires, target, avoid)
             provmap = {fr.ev: next_id + i for i, fr in enumerate(ofires)}
             edge = _GameEdge(
                 tuple(fr.action for fr in ofires),
                 tuple(fr.causes for fr in ofires),
                 tuple(provmap[fr.ev] for fr in ofires),
-                map_guards(atarget, provmap),
+                amap(atarget, relabel(provmap)),
             )
-            k = (edge.actions, edge.causes, canonical(erase(edge.target)))
+            k = (edge.label, edge.causes, canonical(erase(edge.target)))
             if k not in seen:
                 seen.add(k)
                 out.append(edge)
         return out
 
-    def _covers(self, attackers, defenders, c1, c2, f, ap1, ap2, d, base,
-                left_attacks) -> bool:
-        for ea in attackers:
-            ek = label_key(ea.actions)
-            if not any(self._try(ea, eb, c1, c2, f, ap1, ap2, d, base,
-                                 left_attacks)
-                       for eb in defenders if label_key(eb.actions) == ek):
-                return False
-        return True
-
-    def _try(self, ea: _GameEdge, eb: _GameEdge, c1, c2, f, ap1, ap2, d,
-             base, left_attacks) -> bool:
-        if left_attacks:
-            e1, e2 = ea, eb
-        else:
-            e1, e2 = eb, ea
+    def _try(self, e1: _GameEdge, e2: _GameEdge, c1, c2, f, d, base) -> bool:
+        """Can the left edge `e1` and the right edge `e2` answer each other?"""
         fmap = dict(f)
-        p_plain = erase(e1.target)
-        q_plain = erase(e2.target)
-        names = _testset(p_plain, q_plain, self.env)
-        for beta in class_bijections(e1.actions, e2.actions):
-            classes = label_classes(e1.actions)
-            avoid = (base | anames_of(e1.target) | anames_of(e2.target)
-                     | set(names))
-            commons = fresh_names(avoid, len(classes))
-            sub1 = {n: c for (n, _), c in zip(classes, commons)}
-            sub2 = {beta[n]: c for (n, _), c in zip(classes, commons)}
-            acts1 = tuple(rename_action(a, sub1) for a in e1.actions)
-            acts2 = tuple(rename_action(a, sub2) for a in e2.actions)
-            t1 = asubst(e1.target, sub1)
-            t2 = asubst(e2.target, sub2)
-            inputs = [c for (n, k), c in zip(classes, commons) if k == "in"]
+        names = instance_names(erase(e1.target), erase(e2.target), self.env)
+        avoid = base | anames(e1.target) | anames(e2.target) | set(names)
+        for sub1, sub2, pairs in late_instances(
+                e1.label, class_bijections(e1.label, e2.label),
+                e1.target, e2.target, avoid, names, asubst):
+            acts1 = tuple(rename_action(a, sub1) for a in e1.label)
+            acts2 = tuple(rename_action(a, sub2) for a in e2.label)
             for g in _position_bijections(acts1, acts2):
                 if not self._order_ok(e1, e2, g, fmap):
                     continue
@@ -487,15 +422,8 @@ class _HpGame:
                     nc1[eid] = e1.causes[i]
                 for j, eid in enumerate(e2.eids):
                     nc2[eid] = e2.causes[j]
-                ok = True
-                for values in product(names, repeat=len(inputs)):
-                    inst = dict(zip(inputs, values))
-                    a = asubst(t1, inst)
-                    b = asubst(t2, inst)
-                    if not self.go(nc1, nc2, f2, a, b, d - 1, base):
-                        ok = False
-                        break
-                if ok:
+                if all(self.go(nc1, nc2, f2, a, b, d - 1, base)
+                       for a, b in pairs):
                     return True
         return False
 
@@ -509,11 +437,6 @@ class _HpGame:
             if len(mapped) != len(e1.causes[i]):
                 return False
         return True
-
-
-def anames_of(ap: ATerm) -> frozenset[Name]:
-    from .semantics import anames
-    return anames(ap)
 
 
 def _position_bijections(acts1: Sequence[Action],
@@ -546,11 +469,10 @@ def check_hp(p: Process, q: Process, env: Environment = EMPTY_ENV,
     if equivalent:
         verdict.witness = game.witness
     else:
+        step = _StepGame(env, _Budget(budget))
         verdict.distinguisher = {
             "note": "posetal extension unmatched",
-            "hint": _StepGame(env, _Budget(budget)).explain(p, q, depth)
-            if not check_step(p, q, env, depth, budget=budget).equivalent
-            else {},
+            "hint": {} if step.eq(p, q, depth) else step.explain(p, q, depth),
         }
     return verdict
 
@@ -577,20 +499,7 @@ def _build_pes(u: UnfoldedLTS) -> _Pes:
     for e in range(m):
         for c in u.events[e].causes:
             causes[e] |= 1 << c
-    configs: set[int] = set()
-    for cfg in u.nodes:
-        elems = sorted(cfg)
-        k = len(elems)
-        for mask in range(1 << k):
-            sub = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    sub |= 1 << elems[i]
-            if sub in configs:
-                continue
-            if all(causes[e] & ~sub == 0
-                   for e in elems if sub >> e & 1):
-                configs.add(sub)
+    configs = u.config_masks()
     exts: dict[int, list[tuple[int, int]]] = {c: [] for c in configs}
     for c in configs:
         for e in range(m):
@@ -670,7 +579,6 @@ def check_hhp(p: Process, q: Process, env: Environment = EMPTY_ENV,
     def transfer_ok(c1: int, c2: int, f: tuple[tuple[int, int], ...],
                     live: set) -> bool:
         fwd = dict(f)
-        bwd = {b: a for a, b in f}
         for e1, g1 in pes1.exts[c1]:
             if not any(
                 (g1, g2, tuple(sorted(fwd.items() | {(e1, e2)}))) in live

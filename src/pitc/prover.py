@@ -14,7 +14,6 @@ fires them as one step under the maximal-step discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import DepthExceeded, NotWeaklyGuarded, StateBudgetExceeded
@@ -23,10 +22,11 @@ from .syntax import (
     EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
     Sum, TauPrefix, action_names, all_names, alpha_eq, canonical, free_names,
-    fresh_name, fresh_names, substitute, subterms, sum_of,
+    fresh_name, substitute, subterms, sum_of,
 )
 from .semantics import (
-    canonical_order, class_bijections, join_plans, label_key,
+    _placeholder, canonical_order, class_bijections, instance_names,
+    join_plans, label_bound_names, label_classes, label_key, late_instances,
 )
 
 DEFAULT_UNFOLD_CAP = 16
@@ -130,31 +130,30 @@ class HeadNormalForm:
         return " + ".join(s.render() for s in self.summands)
 
     def to_process(self) -> Process:
-        encs: list[Process] = []
-        seen = set()
-        for s in self.summands:
-            key = canonical(s.enc)
-            if key not in seen:
-                seen.add(key)
-                encs.append(s.enc)
-        return sum_of(sorted(encs, key=lambda e: str(canonical(e))))
+        return _distinct_sum(s.enc for s in self.summands)
+
+
+def _distinct_sum(terms: Iterable[Process]) -> Process:
+    """The sum of `terms`, one per alpha class, in canonical order."""
+    uniq: dict[Process, Process] = {}
+    for t in terms:
+        uniq.setdefault(canonical(t), t)
+    return sum_of(t for _, t in sorted(uniq.items(), key=lambda kv: str(kv[0])))
 
 
 def _summand_key(s: Summand) -> tuple:
-    classes = [n for n, _ in _classes_of(s.prefixes)]
+    classes = [n for n, _ in label_classes(s.prefixes)]
     markers = {n: f"~s{i}" for i, n in enumerate(classes)}
     return (label_key(s.prefixes),
             format_process(canonical(substitute(s.cont, markers))))
 
 
-def _classes_of(prefixes: Sequence[Action]) -> list[tuple[Name, str]]:
-    seen: dict[Name, str] = {}
-    for a in prefixes:
-        if isinstance(a, Input):
-            seen.setdefault(a.placeholder, "in")
-        elif isinstance(a, BoundOutput):
-            seen.setdefault(a.placeholder, "bout")
-    return list(seen.items())
+def _distinct_summands(sums: Iterable[Summand]) -> list[Summand]:
+    """One summand per `_summand_key`, in key order."""
+    uniq: dict[tuple, Summand] = {}
+    for s in sums:
+        uniq.setdefault(_summand_key(s), s)
+    return [uniq[k] for k in sorted(uniq)]
 
 
 # --------------------------------------------------------------------------
@@ -288,17 +287,7 @@ class Prover:
     def _par_redex(self, t: Par, path):
         ls = self.summands_of(t.left)
         rs = self.summands_of(t.right)
-        encs = self._joined_encs(ls, rs, t.left, t.right)
-        uniq: list[Process] = []
-        seen = set()
-        for e in encs:
-            c = canonical(e)
-            if c not in seen:
-                seen.add(c)
-                uniq.append(e)
-        if len(uniq) == 1 and alpha_eq(uniq[0], t):
-            return None
-        after = sum_of(sorted(uniq, key=lambda e: str(canonical(e))))
+        after = _distinct_sum(self._joined_encs(ls, rs, t.left, t.right))
         if alpha_eq(after, t):
             return None
         return ("E", path, t, after)
@@ -342,14 +331,8 @@ class Prover:
     def _summands(self, t: Process) -> tuple[Summand, ...]:
         if isinstance(t, Nil):
             return ()
-        if isinstance(t, TauPrefix):
-            return (self._canon_summand((TAU,), t.cont, t),)
-        if isinstance(t, OutputPrefix):
-            return (self._canon_summand((FreeOutput(t.subject, t.object),),
-                                        t.cont, t),)
-        if isinstance(t, InputPrefix):
-            return (self._canon_summand((Input(t.subject, t.binder),),
-                                        t.cont, t),)
+        if isinstance(t, (TauPrefix, OutputPrefix, InputPrefix)):
+            return (self._canon_summand((_head_action(t),), t.cont, t),)
         if isinstance(t, Sum):
             return self._summands(t.left) + self._summands(t.right)
         if isinstance(t, Restriction):
@@ -409,7 +392,7 @@ class Prover:
 
     def _join_summands(self, sl: Summand, sr: Summand) -> list[Summand]:
         # Keep the two sides' placeholders apart before planning the join.
-        clash = {n for n, _ in _classes_of(sr.prefixes)}
+        clash = label_bound_names(sr.prefixes)
         taken = (_prefix_names(sl.prefixes) | _prefix_names(sr.prefixes)
                  | all_names(sl.cont) | all_names(sr.cont))
         renames: dict[Name, Name] = {}
@@ -421,26 +404,10 @@ class Prover:
         rc = substitute(sr.cont, renames)
         ax = list(sl.prefixes)
         ay = list(rp)
-        tx = [_ph(a) for a in ax]
-        ty = [_ph(a) for a in ay]
         out: list[Summand] = []
-        for plan in join_plans(ax, tx, ay, ty):
-            sub_x: dict[Name, Name] = {}
-            sub_y: dict[Name, Name] = {}
-            wraps: list[Name] = []
-            for cx, cy in plan.sharing:
-                sub_y[cy] = cx
-            for i, j in plan.merges:
-                f, g = ax[i], ay[j]
-                if isinstance(f, (FreeOutput, BoundOutput)):
-                    snd, rcv, rsub = f, g, sub_y
-                else:
-                    snd, rcv, rsub = g, f, sub_x
-                if isinstance(snd, FreeOutput):
-                    rsub[rcv.placeholder] = snd.object
-                else:
-                    rsub[rcv.placeholder] = snd.placeholder
-                    wraps.append(snd.placeholder)
+        for plan in join_plans(ax, [_placeholder(a) for a in ax],
+                               ay, [_placeholder(a) for a in ay]):
+            sub_x, sub_y, wraps = plan.substitutions(ax, ay)
             prefixes = tuple(
                 [_rename_binders(ax[i], sub_x) for i in plan.rest_x]
                 + [_rename_binders(ay[j], sub_y) for j in plan.rest_y]
@@ -472,12 +439,8 @@ class Prover:
     def hnf(self, p: Process) -> tuple[HeadNormalForm, list[TraceStep]]:
         _require_guarded(p, self.env)
         normal, steps = self.normalize(p)
-        sums = self.summands_of(normal)
-        uniq: dict[tuple, Summand] = {}
-        for s in sums:
-            uniq.setdefault(_summand_key(s), s)
-        ordered = tuple(uniq[k] for k in sorted(uniq))
-        return HeadNormalForm(ordered), steps
+        sums = _distinct_summands(self.summands_of(normal))
+        return HeadNormalForm(tuple(sums)), steps
 
     def eq(self, p: Process, q: Process) -> bool:
         cp = canonical(p)
@@ -496,8 +459,8 @@ class Prover:
         try:
             np_, _ = self.normalize(p)
             nq_, _ = self.normalize(q)
-            sp = self._dedup(self.summands_of(np_))
-            sq = self._dedup(self.summands_of(nq_))
+            sp = _distinct_summands(self.summands_of(np_))
+            sq = _distinct_summands(self.summands_of(nq_))
             ok = (all(any(self._summands_eq(s, t) for t in sq) for s in sp)
                   and all(any(self._summands_eq(t, s) for s in sp) for t in sq))
         finally:
@@ -505,44 +468,22 @@ class Prover:
         self._eq_memo[key] = ok
         return ok
 
-    @staticmethod
-    def _dedup(sums: Iterable[Summand]) -> list[Summand]:
-        uniq: dict[tuple, Summand] = {}
-        for s in sums:
-            uniq.setdefault(_summand_key(s), s)
-        return [uniq[k] for k in sorted(uniq)]
-
     def _summands_eq(self, s: Summand, t: Summand) -> bool:
         if label_key(s.prefixes) != label_key(t.prefixes):
             return False
-        for beta in class_bijections(s.prefixes, t.prefixes):
-            classes = _classes_of(s.prefixes)
-            avoid = (all_names(s.cont) | all_names(t.cont)
-                     | _prefix_names(s.prefixes) | _prefix_names(t.prefixes))
-            commons = fresh_names(avoid, len(classes))
-            sub_s = {n: c for (n, _), c in zip(classes, commons)}
-            sub_t = {beta[n]: c for (n, _), c in zip(classes, commons)}
-            cs = substitute(s.cont, sub_s)
-            ct = substitute(t.cont, sub_t)
-            inputs = [c for (n, k), c in zip(classes, commons) if k == "in"]
-            names = sorted(free_names(cs) | free_names(ct))
-            names.append(fresh_name(all_names(cs) | all_names(ct)
-                                    | set(commons), prefix="v"))
-            ok = True
-            for values in product(names, repeat=len(inputs)):
-                inst = dict(zip(inputs, values))
-                if not self.eq(substitute(cs, inst), substitute(ct, inst)):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        avoid = (all_names(s.cont) | all_names(t.cont)
+                 | _prefix_names(s.prefixes) | _prefix_names(t.prefixes))
+        # The instance names come from the renamed continuations themselves.
+        return any(all(self.eq(a, b) for a, b in pairs)
+                   for _, _, pairs in late_instances(
+                       s.prefixes, class_bijections(s.prefixes, t.prefixes),
+                       s.cont, t.cont, avoid, instance_names, substitute))
 
     def unmatched(self, p: Process, q: Process) -> Optional[dict]:
         np_, _ = self.normalize(p)
         nq_, _ = self.normalize(q)
-        sp = self._dedup(self.summands_of(np_))
-        sq = self._dedup(self.summands_of(nq_))
+        sp = _distinct_summands(self.summands_of(np_))
+        sq = _distinct_summands(self.summands_of(nq_))
         for s in sp:
             if not any(self._summands_eq(s, t) for t in sq):
                 return {"side": "left", "summand": s.render()}
@@ -590,12 +531,6 @@ def _all_outputs_of(prefixes: Sequence[Action], y: Name) -> bool:
                for a in prefixes)
 
 
-def _ph(a: Action) -> Optional[Name]:
-    if isinstance(a, (Input, BoundOutput)):
-        return a.placeholder
-    return None
-
-
 def _rename_binders(a: Action, sub: dict[Name, Name]) -> Action:
     """Rename only the bound placeholder slot; subjects and objects are
     free references and must stay put."""
@@ -636,16 +571,8 @@ def expand(p: Process, env: Environment = EMPTY_ENV, *,
     _require_guarded(p, env)
     nl, _ = prover.normalize(p.left)
     nr, _ = prover.normalize(p.right)
-    encs = prover._joined_encs(prover.summands_of(nl), prover.summands_of(nr),
-                               nl, nr)
-    uniq: list[Process] = []
-    seen = set()
-    for e in encs:
-        c = canonical(e)
-        if c not in seen:
-            seen.add(c)
-            uniq.append(e)
-    return sum_of(sorted(uniq, key=lambda e: str(canonical(e))))
+    return _distinct_sum(prover._joined_encs(
+        prover.summands_of(nl), prover.summands_of(nr), nl, nr))
 
 
 def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV, *,

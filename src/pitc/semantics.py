@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
+)
 
 from .errors import UnguardedRecursion
 from .syntax import (
     EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
-    Sum, TauPrefix, Tau, action_names, all_names, canonical, fresh_name,
-    rename_action, substitute,
+    Sum, TauPrefix, Tau, action_names, all_names, canonical, free_names,
+    fresh_name, fresh_names, rename_action, substitute,
 )
 
 DEFAULT_GUARD_DEPTH = 64
@@ -162,30 +164,31 @@ def erase(ap: ATerm) -> Process:
 
 
 def anames(ap: ATerm) -> frozenset[Name]:
-    out: set[Name] = set()
+    return frozenset(_anames_in_order(ap))
 
-    def go(t: ATerm) -> None:
-        if isinstance(t, ATau):
-            go(t.cont)
-        elif isinstance(t, AOut):
-            out.add(t.subject)
-            out.add(t.object)
-            go(t.cont)
-        elif isinstance(t, AIn):
-            out.add(t.subject)
-            out.add(t.binder)
-            go(t.cont)
-        elif isinstance(t, ARes):
-            out.add(t.binder)
-            go(t.body)
-        elif isinstance(t, (ASum, APar)):
-            go(t.left)
-            go(t.right)
-        elif isinstance(t, ACall):
-            out.update(t.args)
 
-    go(ap)
-    return frozenset(out)
+def _anames_in_order(ap: ATerm, out: Optional[dict[Name, None]] = None
+                     ) -> dict[Name, None]:
+    """Every name of `ap`, binders included, in first-occurrence preorder."""
+    if out is None:
+        out = {}
+    if isinstance(ap, ATau):
+        _anames_in_order(ap.cont, out)
+    elif isinstance(ap, AOut):
+        out[ap.subject] = out[ap.object] = None
+        _anames_in_order(ap.cont, out)
+    elif isinstance(ap, AIn):
+        out[ap.subject] = out[ap.binder] = None
+        _anames_in_order(ap.cont, out)
+    elif isinstance(ap, ARes):
+        out[ap.binder] = None
+        _anames_in_order(ap.body, out)
+    elif isinstance(ap, (ASum, APar)):
+        _anames_in_order(ap.left, out)
+        _anames_in_order(ap.right, out)
+    elif isinstance(ap, ACall):
+        out.update(dict.fromkeys(ap.args))
+    return out
 
 
 def afree(ap: ATerm) -> frozenset[Name]:
@@ -252,80 +255,62 @@ def _abinder(binder: Name, scope: ATerm,
     return binder, _asubst(scope, relevant)
 
 
-def rename_all(ap: ATerm, sub: Mapping[Name, Name]) -> ATerm:
-    """Rename every occurrence, binders included.
+GuardMap = Callable[[frozenset[EventRef]], frozenset[EventRef]]
 
-    Only safe for injective maps whose targets are globally fresh, which is
-    how token placeholders are turned into final `w` names.
+
+def amap(ap: ATerm, guards: Optional[GuardMap] = None,
+         names: Optional[Mapping[Name, Name]] = None) -> ATerm:
+    """Rebuild `ap` with every guard set passed through `guards` and every
+    name occurrence, binders included, renamed by `names`.
+
+    Renaming binders is only safe for injective maps whose targets are
+    globally fresh, which is how token placeholders are turned into final
+    `w` names.
     """
+    if guards is None and not names:
+        return ap
+    return _amap(ap, guards or _same_guards, (names or {}).get)
+
+
+def _same_guards(g: frozenset[EventRef]) -> frozenset[EventRef]:
+    return g
+
+
+def _amap(t: ATerm, gmap: GuardMap, rn: Callable[[Name, Name], Name]) -> ATerm:
+    if isinstance(t, ANil):
+        return t
+    if isinstance(t, ATau):
+        return ATau(gmap(t.guards), t.uid, _amap(t.cont, gmap, rn))
+    if isinstance(t, AOut):
+        return AOut(gmap(t.guards), t.uid, rn(t.subject, t.subject),
+                    rn(t.object, t.object), _amap(t.cont, gmap, rn))
+    if isinstance(t, AIn):
+        return AIn(gmap(t.guards), t.uid, rn(t.subject, t.subject),
+                   rn(t.binder, t.binder), _amap(t.cont, gmap, rn))
+    if isinstance(t, ARes):
+        return ARes(rn(t.binder, t.binder), _amap(t.body, gmap, rn))
+    if isinstance(t, ASum):
+        return ASum(_amap(t.left, gmap, rn), _amap(t.right, gmap, rn))
+    if isinstance(t, APar):
+        return APar(_amap(t.left, gmap, rn), _amap(t.right, gmap, rn))
+    if isinstance(t, ACall):
+        return ACall(gmap(t.guards), t.uid, t.ident,
+                     tuple(rn(a, a) for a in t.args))
+    raise TypeError(f"not an annotated term: {t!r}")
+
+
+def relabel(sub: Mapping[EventRef, EventRef]) -> Optional[GuardMap]:
+    """The guard map of an event renaming, None when it renames nothing."""
     if not sub:
-        return ap
-    if isinstance(ap, ANil):
-        return ap
-    if isinstance(ap, ATau):
-        return replace(ap, cont=rename_all(ap.cont, sub))
-    if isinstance(ap, AOut):
-        return replace(ap, subject=sub.get(ap.subject, ap.subject),
-                       object=sub.get(ap.object, ap.object),
-                       cont=rename_all(ap.cont, sub))
-    if isinstance(ap, AIn):
-        return replace(ap, subject=sub.get(ap.subject, ap.subject),
-                       binder=sub.get(ap.binder, ap.binder),
-                       cont=rename_all(ap.cont, sub))
-    if isinstance(ap, ARes):
-        return ARes(sub.get(ap.binder, ap.binder), rename_all(ap.body, sub))
-    if isinstance(ap, ASum):
-        return ASum(rename_all(ap.left, sub), rename_all(ap.right, sub))
-    if isinstance(ap, APar):
-        return APar(rename_all(ap.left, sub), rename_all(ap.right, sub))
-    if isinstance(ap, ACall):
-        return replace(ap, args=tuple(sub.get(a, a) for a in ap.args))
-    raise TypeError(f"not an annotated term: {ap!r}")
-
-
-def add_guard(ap: ATerm, refs: frozenset[EventRef]) -> ATerm:
-    if not refs:
-        return ap
-    if isinstance(ap, ANil):
-        return ap
-    if isinstance(ap, (ATau, AOut, AIn)):
-        return replace(ap, guards=ap.guards | refs, cont=add_guard(ap.cont, refs))
-    if isinstance(ap, ARes):
-        return ARes(ap.binder, add_guard(ap.body, refs))
-    if isinstance(ap, ASum):
-        return ASum(add_guard(ap.left, refs), add_guard(ap.right, refs))
-    if isinstance(ap, APar):
-        return APar(add_guard(ap.left, refs), add_guard(ap.right, refs))
-    if isinstance(ap, ACall):
-        return replace(ap, guards=ap.guards | refs)
-    raise TypeError(f"not an annotated term: {ap!r}")
-
-
-def map_guards(ap: ATerm, sub: Mapping[EventRef, EventRef]) -> ATerm:
-    if not sub:
-        return ap
-    if isinstance(ap, ANil):
-        return ap
-    if isinstance(ap, (ATau, AOut, AIn, ACall)):
-        guards = frozenset(sub.get(g, g) for g in ap.guards)
-        if isinstance(ap, ACall):
-            return replace(ap, guards=guards)
-        return replace(ap, guards=guards, cont=map_guards(ap.cont, sub))
-    if isinstance(ap, ARes):
-        return ARes(ap.binder, map_guards(ap.body, sub))
-    if isinstance(ap, ASum):
-        return ASum(map_guards(ap.left, sub), map_guards(ap.right, sub))
-    if isinstance(ap, APar):
-        return APar(map_guards(ap.left, sub), map_guards(ap.right, sub))
-    raise TypeError(f"not an annotated term: {ap!r}")
+        return None
+    return lambda g: frozenset(sub.get(e, e) for e in g)
 
 
 # --------------------------------------------------------------------------
 # Raw step derivation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Fire:
+class Fire(NamedTuple):
     """One action occurrence inside a step."""
 
     action: Action
@@ -354,17 +339,17 @@ def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
     if isinstance(ap, ATau):
         ev = alloc.ev()
         fire = Fire(TAU, frozenset((ap.uid,)), ap.guards, ev, None)
-        return [((fire,), add_guard(ap.cont, frozenset((ev,))))]
+        return [((fire,), amap(ap.cont, lambda g: g | {ev}))]
     if isinstance(ap, AOut):
         ev = alloc.ev()
         fire = Fire(FreeOutput(ap.subject, ap.object), frozenset((ap.uid,)),
                     ap.guards, ev, None)
-        return [((fire,), add_guard(ap.cont, frozenset((ev,))))]
+        return [((fire,), amap(ap.cont, lambda g: g | {ev}))]
     if isinstance(ap, AIn):
         ev = alloc.ev()
         tok = alloc.tok()
         fire = Fire(Input(ap.subject, tok), frozenset((ap.uid,)), ap.guards, ev, tok)
-        target = asubst(add_guard(ap.cont, frozenset((ev,))), {ap.binder: tok})
+        target = asubst(amap(ap.cont, lambda g: g | {ev}), {ap.binder: tok})
         return [((fire,), target)]
     if isinstance(ap, ACall):
         if fuel <= 0:
@@ -387,7 +372,7 @@ def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
                    and f.action.subject != ap.binder for f in fires):
                 tok = alloc.tok()
                 opened = tuple(
-                    replace(f, action=BoundOutput(f.action.subject, tok), tok=tok)
+                    f._replace(action=BoundOutput(f.action.subject, tok), tok=tok)
                     for f in fires)
                 out.append((opened, asubst(target, {ap.binder: tok})))
             # otherwise the restricted name escapes: the step is blocked
@@ -404,7 +389,7 @@ def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
         out = []
         for xf, xt in left:
             for yf, yt in right:
-                out.extend(_join(xf, xt, yf, yt, alloc))
+                out.extend(_join(xf, xt, yf, yt))
         return out
     raise TypeError(f"not an annotated term: {ap!r}")
 
@@ -456,6 +441,25 @@ class JoinPlan:
     rest_y: tuple[int, ...]
     sharing: tuple[tuple[Name, Name], ...]
 
+    def substitutions(self, ax: Sequence[Action], ay: Sequence[Action]
+                      ) -> tuple[dict[Name, Name], dict[Name, Name], list[Name]]:
+        """Receiver substitutions for the left and right residuals, and
+        the extruded names to restrict around the joined residual."""
+        sub_x: dict[Name, Name] = {}
+        sub_y: dict[Name, Name] = {ty: tx for tx, ty in self.sharing}
+        wraps: list[Name] = []
+        for i, j in self.merges:
+            if isinstance(ax[i], (FreeOutput, BoundOutput)):
+                snd, rcv, rcv_sub = ax[i], ay[j], sub_y
+            else:
+                snd, rcv, rcv_sub = ay[j], ax[i], sub_x
+            if isinstance(snd, FreeOutput):
+                rcv_sub[rcv.placeholder] = snd.object
+            else:
+                rcv_sub[rcv.placeholder] = snd.placeholder
+                wraps.append(snd.placeholder)
+        return sub_x, sub_y, wraps
+
 
 def join_plans(ax: Sequence[Action], tx: Sequence[Optional[Name]],
                ay: Sequence[Action], ty: Sequence[Optional[Name]]
@@ -502,57 +506,45 @@ def _input_class_toks(acts: Sequence[Action], toks: Sequence[Optional[Name]],
     return seen
 
 
-def _join(xf: tuple[Fire, ...], xt: ATerm, yf: tuple[Fire, ...], yt: ATerm,
-          alloc: Alloc) -> list[RawTransition]:
+def _join(xf: tuple[Fire, ...], xt: ATerm, yf: tuple[Fire, ...],
+          yt: ATerm) -> list[RawTransition]:
     ax = [f.action for f in xf]
     ay = [g.action for g in yf]
-    tx = [f.tok for f in xf]
-    ty = [g.tok for g in yf]
-    return [_assemble(xf, xt, yf, yt, plan)
-            for plan in join_plans(ax, tx, ay, ty)]
+    return [_assemble(xf, xt, yf, yt, plan, *plan.substitutions(ax, ay))
+            for plan in join_plans(ax, [f.tok for f in xf],
+                                   ay, [g.tok for g in yf])]
 
 
 def _assemble(xf: tuple[Fire, ...], xt: ATerm, yf: tuple[Fire, ...], yt: ATerm,
-              plan: JoinPlan) -> RawTransition:
-    sub_x: dict[Name, Name] = {}
-    sub_y: dict[Name, Name] = {}
+              plan: JoinPlan, sub_x: dict[Name, Name], sub_y: dict[Name, Name],
+              wraps: list[Name]) -> RawTransition:
     ev_x: dict[EventRef, EventRef] = {}
     ev_y: dict[EventRef, EventRef] = {}
-    wraps: list[Name] = []
     taus: list[Fire] = []
-    for tx, ty in plan.sharing:
-        sub_y[ty] = tx
     for i, j in plan.merges:
         f, g = xf[i], yf[j]
         if isinstance(f.action, (FreeOutput, BoundOutput)):
-            snd, rcv = f, g
-            rcv_sub, rcv_ev = sub_y, ev_y
+            snd, rcv, rcv_ev = f, g, ev_y
         else:
-            snd, rcv = g, f
-            rcv_sub, rcv_ev = sub_x, ev_x
-        if isinstance(snd.action, FreeOutput):
-            rcv_sub[rcv.action.placeholder] = snd.action.object
-        else:
-            rcv_sub[rcv.action.placeholder] = snd.action.placeholder
-            wraps.append(snd.action.placeholder)
+            snd, rcv, rcv_ev = g, f, ev_x
         rcv_ev[rcv.ev] = snd.ev
         taus.append(Fire(TAU, snd.uids | rcv.uids, snd.causes | rcv.causes,
                          snd.ev, None))
-    lt = map_guards(asubst(xt, sub_x), ev_x)
-    rt = map_guards(asubst(yt, sub_y), ev_y)
+    lt = amap(asubst(xt, sub_x), relabel(ev_x))
+    rt = amap(asubst(yt, sub_y), relabel(ev_y))
     combined: ATerm = APar(lt, rt)
     for w in wraps:
         combined = ARes(w, combined)
     fires: list[Fire] = []
     for i in plan.rest_x:
         f = xf[i]
-        fires.append(replace(f, action=rename_action(f.action, sub_x))
+        fires.append(f._replace(action=rename_action(f.action, sub_x))
                      if sub_x else f)
     for j in plan.rest_y:
         g = yf[j]
         if sub_y:
             tok = sub_y.get(g.tok, g.tok) if g.tok is not None else None
-            fires.append(replace(g, action=rename_action(g.action, sub_y), tok=tok))
+            fires.append(g._replace(action=rename_action(g.action, sub_y), tok=tok))
         else:
             fires.append(g)
     fires.extend(taus)
@@ -676,6 +668,61 @@ def class_bijections(l1: Sequence[Action],
             yield {n1: n2 for (n1, _), (n2, _) in zip(c1, perm)}
 
 
+def instance_names(p: Process, q: Process,
+                   env: Environment = EMPTY_ENV) -> list[Name]:
+    """Names a received placeholder is instantiated with when `p` and `q`
+    are compared late: their free names plus one fresh name."""
+    base = sorted(free_names(p) | free_names(q))
+    fresh = fresh_name(all_names(p) | all_names(q) | env.names(), prefix="v")
+    return base + [fresh]
+
+
+@dataclass(slots=True)
+class LateInstances:
+    """Two residuals whose common input names are instantiated with every
+    assignment of test names; iterating yields the instantiated pairs,
+    lazily and as often as asked."""
+
+    left: object
+    right: object
+    inputs: tuple[Name, ...]
+    names: Sequence[Name]
+    subst: Callable
+
+    def __iter__(self) -> Iterator[tuple]:
+        for values in product(self.names, repeat=len(self.inputs)):
+            inst = dict(zip(self.inputs, values))
+            yield self.subst(self.left, inst), self.subst(self.right, inst)
+
+
+def late_instances(label: Sequence[Action],
+                   pairings: Iterable[Mapping[Name, Name]], left, right,
+                   avoid: Iterable[Name],
+                   names: Sequence[Name] | Callable[..., Sequence[Name]],
+                   subst: Callable
+                   ) -> Iterator[tuple[dict, dict, LateInstances]]:
+    """Late matching of two residuals, one pairing of placeholder classes
+    at a time.
+
+    Each pairing sends the placeholders of `label` (the left step's) to
+    those of the right step.  Paired classes are renamed to common names
+    fresh for `avoid`, with `subst` on each residual; the pairs to relate
+    are then the two renamed residuals under every instantiation of the
+    common input names with the test `names`, given as a sequence or as
+    a function of the two renamed residuals.  Yields `(sub_left,
+    sub_right, pairs)` per pairing, in the pairings' order.
+    """
+    classes = label_classes(label)
+    commons = fresh_names(avoid, len(classes))
+    inputs = tuple(c for (_, k), c in zip(classes, commons) if k == "in")
+    for beta in pairings:
+        sub1 = {n: c for (n, _), c in zip(classes, commons)}
+        sub2 = {beta[n]: c for (n, _), c in zip(classes, commons)}
+        left2, right2 = subst(left, sub1), subst(right, sub2)
+        tests = names(left2, right2) if callable(names) else names
+        yield sub1, sub2, LateInstances(left2, right2, inputs, tests, subst)
+
+
 def format_action(a: Action) -> str:
     return str(a)
 
@@ -723,7 +770,9 @@ def transitions(p: Process, env: Environment = EMPTY_ENV, *,
     raws = raw_steps(ap, env, alloc, guard_depth)
     seen: dict[tuple, Transition] = {}
     for fires, target in raws:
-        label, plain = finalize(fires, target, base_avoid)
+        ofires, atarget = finalize(fires, target, base_avoid)
+        label = tuple(f.action for f in ofires)
+        plain = erase(atarget)
         k = (label, canonical(plain))
         if k not in seen:
             seen[k] = Transition(p, label, plain)
@@ -735,83 +784,22 @@ def transitions(p: Process, env: Environment = EMPTY_ENV, *,
 
 
 def finalize(fires: tuple[Fire, ...], target: ATerm,
-             base_avoid: frozenset[Name]) -> tuple[tuple[Action, ...], Process]:
-    """Turn a raw derivation into a canonical label and plain target."""
+             base_avoid: frozenset[Name]) -> tuple[tuple[Fire, ...], ATerm]:
+    """Put a raw derivation's fires in canonical order and turn its tokens,
+    first the fires' in that order and then the target's in preorder, into
+    fresh names avoiding `base_avoid`."""
     _, order = canonical_order([f.action for f in fires])
+    picked = [fires[i] for i in order]
     tokmap: dict[Name, Name] = {}
     taken = set(base_avoid)
-    for i in order:
-        tok = fires[i].tok
-        if tok is not None and tok not in tokmap:
+    for tok in [f.tok for f in picked] + list(_anames_in_order(target)):
+        if tok is not None and tok.startswith("~") and tok not in tokmap:
             w = fresh_name(taken)
             tokmap[tok] = w
             taken.add(w)
-    for tok in _residual_toks(target):
-        if tok not in tokmap:
-            w = fresh_name(taken)
-            tokmap[tok] = w
-            taken.add(w)
-    label = tuple(rename_action(fires[i].action, tokmap) for i in order)
-    plain = erase(rename_all(target, tokmap))
-    return label, plain
-
-
-def finalize_fires(fires: tuple[Fire, ...], target: ATerm,
-                   base_avoid: frozenset[Name]
-                   ) -> tuple[tuple[Fire, ...], ATerm]:
-    """Like `finalize`, but keeps the annotated structure for unfolding."""
-    _, order = canonical_order([f.action for f in fires])
-    tokmap: dict[Name, Name] = {}
-    taken = set(base_avoid)
-    for i in order:
-        tok = fires[i].tok
-        if tok is not None and tok not in tokmap:
-            w = fresh_name(taken)
-            tokmap[tok] = w
-            taken.add(w)
-    for tok in _residual_toks(target):
-        if tok not in tokmap:
-            w = fresh_name(taken)
-            tokmap[tok] = w
-            taken.add(w)
-    ordered = tuple(
-        replace(fires[i], action=rename_action(fires[i].action, tokmap),
-                tok=tokmap.get(fires[i].tok) if fires[i].tok is not None else None)
-        for i in order)
-    return ordered, rename_all(target, tokmap)
-
-
-def _residual_toks(ap: ATerm) -> list[Name]:
-    """Token names still present in a target, in deterministic preorder."""
-    out: list[Name] = []
-
-    def note(n: Name) -> None:
-        if n.startswith("~") and n not in out:
-            out.append(n)
-
-    def go(t: ATerm) -> None:
-        if isinstance(t, ATau):
-            go(t.cont)
-        elif isinstance(t, AOut):
-            note(t.subject)
-            note(t.object)
-            go(t.cont)
-        elif isinstance(t, AIn):
-            note(t.subject)
-            note(t.binder)
-            go(t.cont)
-        elif isinstance(t, ARes):
-            note(t.binder)
-            go(t.body)
-        elif isinstance(t, (ASum, APar)):
-            go(t.left)
-            go(t.right)
-        elif isinstance(t, ACall):
-            for a in t.args:
-                note(a)
-
-    go(ap)
-    return out
+    ordered = tuple([Fire(rename_action(f.action, tokmap), f.uids, f.causes,
+                          f.ev, tokmap.get(f.tok)) for f in picked])
+    return ordered, amap(target, names=tokmap)
 
 
 def open_transition_targets(p: Process, env: Environment = EMPTY_ENV, *,

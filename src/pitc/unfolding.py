@@ -15,12 +15,12 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import StateBudgetExceeded
 from .syntax import (
-    EMPTY_ENV, Action, BoundOutput, Environment, FreeOutput, Input, Name,
-    Process, Tau, all_names, alpha_eq,
+    EMPTY_ENV, Action, Environment, FreeOutput, Input, Name, Process, Tau,
+    all_names, alpha_eq,
 )
 from .semantics import (
-    Alloc, ATerm, DEFAULT_GUARD_DEPTH, annotate, erase, finalize_fires,
-    map_guards, raw_steps,
+    Alloc, ATerm, DEFAULT_GUARD_DEPTH, amap, annotate, erase, finalize,
+    label_bound_names, raw_steps, relabel,
 )
 from .parser import format_process
 
@@ -126,17 +126,26 @@ class UnfoldedLTS:
 
     def pes_configs(self) -> list[Config]:
         """All downward-closed sub-histories of reached configurations."""
-        out: set[Config] = set()
+        return sorted((frozenset(e for e in self.events if m >> e & 1)
+                       for m in self.config_masks()),
+                      key=lambda c: (len(c), sorted(c)))
+
+    def config_masks(self) -> set[int]:
+        """`pes_configs` as bit masks over event ids."""
+        causes = {e: sum(1 << c for c in ev.causes)
+                  for e, ev in self.events.items()}
+        out: set[int] = set()
         for cfg in self.nodes:
             elems = sorted(cfg)
             for mask in range(1 << len(elems)):
-                sub = frozenset(elems[i] for i in range(len(elems))
-                                if mask >> i & 1)
-                if sub in out:
-                    continue
-                if all(self.events[e].causes <= sub for e in sub):
+                sub = 0
+                for i, e in enumerate(elems):
+                    if mask >> i & 1:
+                        sub |= 1 << e
+                if sub not in out and all(causes[e] & ~sub == 0
+                                          for e in elems if sub >> e & 1):
                     out.add(sub)
-        return sorted(out, key=lambda c: (len(c), sorted(c)))
+        return out
 
     # -- exports ----------------------------------------------------------
 
@@ -218,7 +227,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
             edge_avoid = base_avoid | all_names(node.plain)
             seen_edges: set[tuple] = set()
             for fires, target in raws:
-                ofires, atarget = finalize_fires(fires, target, edge_avoid)
+                ofires, atarget = finalize(fires, target, edge_avoid)
                 provmap: dict[int, int] = {}
                 eids: list[int] = []
                 for f in ofires:
@@ -239,7 +248,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
                 if ekey in seen_edges:
                     continue
                 seen_edges.add(ekey)
-                resolved = map_guards(atarget, provmap)
+                resolved = amap(atarget, relabel(provmap))
                 edge = StepEdge(cfg, tuple(eids),
                                 tuple(f.action for f in ofires), tgt)
                 node.edges.append(edge)
@@ -301,14 +310,6 @@ def pomset_transitions(u: UnfoldedLTS, c: Config,
 # Pomset isomorphism
 # --------------------------------------------------------------------------
 
-def _binders(x: PomsetTransition) -> frozenset[Name]:
-    out: set[Name] = set()
-    for a in x.actions:
-        if isinstance(a, (Input, BoundOutput)):
-            out.add(a.placeholder)
-    return frozenset(out)
-
-
 def _slots(a: Action) -> list[tuple[Name, bool]]:
     """(name, is_binder_slot) pairs of an action."""
     if isinstance(a, Tau):
@@ -316,16 +317,6 @@ def _slots(a: Action) -> list[tuple[Name, bool]]:
     if isinstance(a, FreeOutput):
         return [(a.subject, False), (a.object, False)]
     return [(a.subject, False), (a.placeholder, True)]
-
-
-def _kind(a: Action) -> int:
-    if isinstance(a, Tau):
-        return 0
-    if isinstance(a, FreeOutput):
-        return 1
-    if isinstance(a, Input):
-        return 2
-    return 3
 
 
 def pomset_isos(x1: PomsetTransition,
@@ -338,8 +329,8 @@ def pomset_isos(x1: PomsetTransition,
     """
     if len(x1.events) != len(x2.events):
         return
-    b1 = _binders(x1)
-    b2 = _binders(x2)
+    b1 = label_bound_names(x1.actions)
+    b2 = label_bound_names(x2.actions)
     acts1 = dict(zip(x1.events, x1.actions))
     acts2 = dict(zip(x2.events, x2.actions))
     below1 = {e: frozenset(a for (a, b) in x1.order if b == e) for e in x1.events}
@@ -348,7 +339,7 @@ def pomset_isos(x1: PomsetTransition,
 
     def compatible(a1: Action, a2: Action,
                    rho: dict[Name, Name]) -> Optional[dict[Name, Name]]:
-        if _kind(a1) != _kind(a2):
+        if type(a1) is not type(a2):
             return None
         new = dict(rho)
         for (n1, bind1), (n2, bind2) in zip(_slots(a1), _slots(a2)):
