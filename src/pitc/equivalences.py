@@ -15,9 +15,10 @@ step / pomset   games over process pairs, matching step edges resp.
 hp              game over posetal triples grown one step edge at a time,
                 the event pairing extended by a label- and order-
                 preserving bijection.
-hhp             classical downward-closed posetal fixpoint over the two
-                unfolded event structures, extensions taken one event at
-                a time through every downward-closed sub-history.
+hhp             greatest downward-closed posetal fixpoint over the two
+                unfolded event structures: triples generated forward from
+                the empty one an event pair at a time, then refined with
+                per-extension counters and a worklist.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .unfolding import (
 DEFAULT_DEPTH = 8
 DEFAULT_MAX_POMSET = 4
 DEFAULT_GAME_BUDGET = 100_000
-MAX_HHP_EVENTS = 16
 
 
 @dataclass
@@ -485,15 +485,12 @@ def check_hp(p: Process, q: Process, env: Environment = EMPTY_ENV,
 class _Pes:
     labels: list[tuple]
     causes: list[int]                  # bitmask per event
-    configs: set[int]                  # downward-closed sub-histories
-    exts: dict[int, list[tuple[int, int]]]
+    exts: dict[int, list[tuple[int, int]]]  # sub-history -> (event, grown)
 
 
-def _build_pes(u: UnfoldedLTS) -> _Pes:
+def _build_pes(u: UnfoldedLTS, budget: _Budget) -> _Pes:
+    budget.tick(sum(1 << len(cfg) for cfg in u.nodes))
     m = len(u.events)
-    if m > MAX_HHP_EVENTS:
-        raise StateBudgetExceeded(
-            f"hhp check limited to {MAX_HHP_EVENTS} events, got {m}")
     labels = [u.events[e].label for e in range(m)]
     causes = [0] * m
     for e in range(m):
@@ -508,49 +505,76 @@ def _build_pes(u: UnfoldedLTS) -> _Pes:
             grown = c | (1 << e)
             if causes[e] & ~c == 0 and grown in configs:
                 exts[c].append((e, grown))
-    return _Pes(labels, causes, configs, exts)
+    return _Pes(labels, causes, exts)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+_Triple = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def _triple_isos(p1: _Pes, p2: _Pes, m1: int, m2: int,
-                 budget: _Budget) -> Iterator[tuple[tuple[int, int], ...]]:
-    ev1 = _bits(m1)
-    ev2 = _bits(m2)
-    if len(ev1) != len(ev2):
-        return
-    order = sorted(ev1, key=lambda e: bin(p1.causes[e] & m1).count("1"))
+def _hhp_live(pes1: _Pes, pes2: _Pes, budget: _Budget) -> set[_Triple]:
+    """The greatest downward-closed hp-bisimulation between two event
+    structures, as a set of triples (c1, c2, f): sub-histories c1 and c2
+    and a label- and order-preserving bijection f between them.
 
-    def go(k: int, used: int, acc: tuple[tuple[int, int], ...]
-           ) -> Iterator[tuple[tuple[int, int], ...]]:
-        if k == len(order):
-            yield tuple(sorted(acc))
-            return
-        e1 = order[k]
-        want = 0
-        for (a, b) in acc:
-            if p1.causes[e1] >> a & 1:
-                want |= 1 << b
-        for e2 in ev2:
-            if used >> e2 & 1:
-                continue
-            if p1.labels[e1] != p2.labels[e2]:
-                continue
-            if p2.causes[e2] & m2 != want:
-                continue
-            budget.tick()
-            yield from go(k + 1, used | (1 << e2), acc + ((e1, e2),))
+    Triples are generated forward from the empty one, one event pair at a
+    time; every such bijection is reached by adding its events in causal
+    order.  Refinement is a worklist (Paige & Tarjan 1987): `left[i][e1]`
+    and `right[i][e2]` count the live children of triple i that match its
+    extension e1 resp. e2, and a triple dies when a count reaches 0
+    (transfer) or when a one-event restriction of it dies (downward; any
+    restriction is reached by removing maximal events one at a time).
+    """
+    triples: list[_Triple] = [(0, 0, ())]
+    index = {triples[0]: 0}
+    parents: list[list[tuple[int, int, int]]] = [[]]
+    children: list[list[int]] = []
+    left: list[dict[int, int]] = []
+    right: list[dict[int, int]] = []
+    budget.tick()
+    for i, (c1, c2, f) in enumerate(triples):       # grows while walked
+        kids: list[int] = []
+        lc = {e1: 0 for e1, _ in pes1.exts[c1]}
+        rc = {e2: 0 for e2, _ in pes2.exts[c2]}
+        for e1, g1 in pes1.exts[c1]:
+            # The causes of both extensions lie in c1 and c2, so order
+            # preservation is exactly image equality of the cause sets.
+            label, cause = pes1.labels[e1], pes1.causes[e1]
+            want = sum(1 << b for a, b in f if cause >> a & 1)
+            for e2, g2 in pes2.exts[c2]:
+                if pes2.causes[e2] != want or pes2.labels[e2] != label:
+                    continue
+                child = (g1, g2, tuple(sorted(f + ((e1, e2),))))
+                j = index.get(child)
+                if j is None:
+                    budget.tick()
+                    j = index[child] = len(triples)
+                    triples.append(child)
+                    parents.append([])
+                parents[j].append((i, e1, e2))
+                kids.append(j)
+                lc[e1] += 1
+                rc[e2] += 1
+        children.append(kids)
+        left.append(lc)
+        right.append(rc)
 
-    yield from go(0, 0, ())
+    alive = [True] * len(triples)
+    work = [i for i in range(len(triples))
+            if 0 in left[i].values() or 0 in right[i].values()]
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        alive[i] = False
+        budget.tick()
+        for k, e1, e2 in parents[i]:
+            if alive[k]:
+                left[k][e1] -= 1
+                right[k][e2] -= 1
+                if not left[k][e1] or not right[k][e2]:
+                    work.append(k)
+        work.extend(children[i])
+    return {t for t, a in zip(triples, alive) if a}
 
 
 def check_hhp(p: Process, q: Process, env: Environment = EMPTY_ENV,
@@ -562,88 +586,17 @@ def check_hhp(p: Process, q: Process, env: Environment = EMPTY_ENV,
     avoid = all_names(p) | all_names(q) | env.names()
     u1 = unfold(p, env, depth, avoid=avoid, budget=budget)
     u2 = unfold(q, env, depth, avoid=avoid, budget=budget)
-    pes1 = _build_pes(u1)
-    pes2 = _build_pes(u2)
-
-    by_size: dict[int, list[int]] = {}
-    for c in pes2.configs:
-        by_size.setdefault(bin(c).count("1"), []).append(c)
-    triples: set[tuple[int, int, tuple[tuple[int, int], ...]]] = set()
-    for c1 in pes1.configs:
-        size = bin(c1).count("1")
-        for c2 in by_size.get(size, ()):
-            for f in _triple_isos(pes1, pes2, c1, c2, guard):
-                triples.add((c1, c2, f))
-                guard.tick()
-
-    def transfer_ok(c1: int, c2: int, f: tuple[tuple[int, int], ...],
-                    live: set) -> bool:
-        fwd = dict(f)
-        for e1, g1 in pes1.exts[c1]:
-            if not any(
-                (g1, g2, tuple(sorted(fwd.items() | {(e1, e2)}))) in live
-                for e2, g2 in pes2.exts[c2]
-                if pes1.labels[e1] == pes2.labels[e2]
-                and _ext_order_ok(pes1, pes2, e1, e2, fwd)
-            ):
-                return False
-        for e2, g2 in pes2.exts[c2]:
-            if not any(
-                (g1, g2, tuple(sorted(fwd.items() | {(e1, e2)}))) in live
-                for e1, g1 in pes1.exts[c1]
-                if pes1.labels[e1] == pes2.labels[e2]
-                and _ext_order_ok(pes1, pes2, e1, e2, fwd)
-            ):
-                return False
-        return True
-
-    def downward_ok(c1: int, c2: int, f: tuple[tuple[int, int], ...],
-                    live: set) -> bool:
-        fwd = dict(f)
-        sub = (c1 - 1) & c1
-        while True:
-            if all(pes1.causes[e] & ~sub == 0 for e in _bits(sub)):
-                y2 = 0
-                for e in _bits(sub):
-                    y2 |= 1 << fwd[e]
-                fr = tuple(sorted((a, b) for a, b in f if sub >> a & 1))
-                if (sub, y2, fr) not in live:
-                    return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & c1
-        return True
-
-    live = set(triples)
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(live):
-            guard.tick()
-            c1, c2, f = t
-            if not transfer_ok(c1, c2, f, live) or not downward_ok(c1, c2, f, live):
-                live.discard(t)
-                changed = True
+    live = _hhp_live(_build_pes(u1, guard), _build_pes(u2, guard), guard)
     equivalent = (0, 0, ()) in live
     verdict = RelationVerdict("hhp", equivalent, depth, _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = [[_bits(c1), list(f), _bits(c2)]
-                           for c1, c2, f in sorted(live)[:200]]
+        verdict.witness = [
+            [[a for a, _ in f], list(f), sorted(b for _, b in f)]
+            for _, _, f in sorted(live)[:200]]
     else:
         verdict.distinguisher = {
             "note": "no downward closed hp-bisimulation contains the empty triple"}
     return verdict
-
-
-def _ext_order_ok(p1: _Pes, p2: _Pes, e1: int, e2: int,
-                  fwd: dict[int, int]) -> bool:
-    # Both extensions have their causes inside the paired configurations,
-    # so order preservation is exactly image equality of the cause sets.
-    want = 0
-    for a, b in fwd.items():
-        if p1.causes[e1] >> a & 1:
-            want |= 1 << b
-    return p2.causes[e2] == want
 
 
 # --------------------------------------------------------------------------
