@@ -6,8 +6,8 @@ bounded state spaces, and prove equations via head normal forms.
 """
 
 from .errors import (
-    BadDefinition, DepthExceeded, NotWeaklyGuarded, ParseError, PitcError,
-    StateBudgetExceeded, UnguardedRecursion, UnknownIdentifier,
+    BadDefinition, DepthExceeded, InternalError, NotWeaklyGuarded, ParseError,
+    PitcError, StateBudgetExceeded, UnguardedRecursion, UnknownIdentifier,
 )
 from .syntax import (
     NIL, TAU, Action, BoundOutput, Call, Definition, Environment, FreeOutput,

@@ -1,9 +1,11 @@
 """Command-line front end: parse, step, check, prove, unfold.
 
 Exit codes: 0 success / equivalent / proved, 1 not equivalent / not
-provable, 2 usage or parse error, 3 budget or guardedness error.  The
-node budget for unfolding and checking can be overridden with the
-PITC_STATE_BUDGET environment variable.
+provable, 2 usage or parse error, 3 budget or guardedness error, 4 a term
+nested too deeply for the interpreter's recursion limit, 5 internal error
+(a broken invariant of the workbench itself).  The node budget for
+unfolding and checking can be overridden with the PITC_STATE_BUDGET
+environment variable.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 from typing import Optional
 
 from .errors import (
-    BadDefinition, DepthExceeded, NotWeaklyGuarded, ParseError, PitcError,
-    StateBudgetExceeded, UnguardedRecursion, UnknownIdentifier,
+    BadDefinition, DepthExceeded, InternalError, NotWeaklyGuarded, ParseError,
+    PitcError, StateBudgetExceeded, UnguardedRecursion, UnknownIdentifier,
 )
 from .parser import SourceFile, format_process, load_file, parse_term
 from .syntax import EMPTY_ENV, Environment, Process, canonical
@@ -29,6 +31,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_TOO_DEEP = 4
+EXIT_INTERNAL = 5
 
 _BUDGET_ERRORS = (UnguardedRecursion, StateBudgetExceeded, NotWeaklyGuarded,
                   DepthExceeded)
@@ -209,9 +213,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except PitcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: term nested too deeply for the recursion limit",
+              file=sys.stderr)
+        return EXIT_TOO_DEEP
 
 
 if __name__ == "__main__":

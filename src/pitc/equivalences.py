@@ -496,16 +496,7 @@ def _build_pes(u: UnfoldedLTS, budget: _Budget) -> _Pes:
     for e in range(m):
         for c in u.events[e].causes:
             causes[e] |= 1 << c
-    configs = u.config_masks()
-    exts: dict[int, list[tuple[int, int]]] = {c: [] for c in configs}
-    for c in configs:
-        for e in range(m):
-            if c >> e & 1:
-                continue
-            grown = c | (1 << e)
-            if causes[e] & ~c == 0 and grown in configs:
-                exts[c].append((e, grown))
-    return _Pes(labels, causes, exts)
+    return _Pes(labels, causes, u.sub_histories())
 
 
 _Triple = tuple[int, int, tuple[tuple[int, int], ...]]

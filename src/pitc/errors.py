@@ -28,6 +28,10 @@ class UnguardedRecursion(PitcError):
     """Identifier unfolding exceeded the guard depth without hitting a prefix."""
 
 
+class InternalError(PitcError):
+    """A broken internal invariant: a bug in the workbench, not in the input."""
+
+
 class StateBudgetExceeded(PitcError):
     """Unfolding or equivalence checking exceeded the configured node budget."""
 

@@ -26,7 +26,7 @@ from .syntax import (
     EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
     Sum, TauPrefix, Tau, action_names, all_names, canonical, free_names,
-    fresh_name, fresh_names, rename_action, substitute,
+    fresh_name, fresh_names, rename_action, shared_names, substitute,
 )
 
 DEFAULT_GUARD_DEPTH = 64
@@ -760,8 +760,8 @@ def transitions(p: Process, env: Environment = EMPTY_ENV, *,
     class of labels.  Placeholders are drawn from the deterministic fresh
     sequence, avoiding every name of `p`, of the environment, and of
     `avoid`."""
-    base_avoid = frozenset(all_names(p) | env.names() | set(avoid))
-    key = (canonical(p), env.key, base_avoid, guard_depth)
+    base_avoid = shared_names(all_names(p) | env.names() | frozenset(avoid))
+    key = (p, env.key, base_avoid, guard_depth)
     hit = _TRANS_CACHE.get(key)
     if hit is not None:
         return hit

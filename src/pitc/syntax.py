@@ -3,6 +3,10 @@
 Names are plain interned strings.  Processes and actions are immutable
 trees, so every value in this module can be shared freely across threads
 and used as a dictionary key.
+
+Process nodes are hash-consed: a constructor call returns the one node of
+that structure, so structural equality is identity and hashing is O(1).
+Each node memoizes its free names, all its names and its canonical form.
 """
 
 from __future__ import annotations
@@ -126,50 +130,100 @@ def rename_action(a: Action, sub: Mapping[Name, Name]) -> Action:
 # Processes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Nil:
+#: Every process node ever built, keyed on (class, *fields).  Children are
+#: interned before their parents, so a key hashes in O(1).  Process-wide
+#: and never emptied.
+_NODES: dict[tuple, "Process"] = {}
+
+#: One object per distinct name set held in a memo slot.
+_NAME_SETS: dict[frozenset[Name], frozenset[Name]] = {}
+
+_set_slot = object.__setattr__
+
+
+def shared_names(names: frozenset[Name]) -> frozenset[Name]:
+    """The one shared frozenset equal to `names`."""
+    return _NAME_SETS.setdefault(names, names)
+
+
+class _Interned(type):
+    """Metaclass of the process nodes: a constructor call returns the one
+    node of that structure (hash-consing, after Filliatre & Conchon,
+    "Type-Safe Modular Hash-Consing", ML Workshop 2006)."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__call__(*fields)
+            _set_slot(node, "_free", None)
+            _set_slot(node, "_all", None)
+            _set_slot(node, "_canon", None)
+            # setdefault: two threads never make two nodes of one structure.
+            node = _NODES.setdefault(key, node)
+        return node
+
+
+class _Node(metaclass=_Interned):
+    """Memo slots of a process node; copies and unpickling return the
+    interned node itself."""
+
+    __slots__ = ("_free", "_all", "_canon")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Nil(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TauPrefix:
+@dataclass(frozen=True, slots=True, eq=False)
+class TauPrefix(_Node):
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class OutputPrefix:
+@dataclass(frozen=True, slots=True, eq=False)
+class OutputPrefix(_Node):
     subject: Name
     object: Name
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class InputPrefix:
+@dataclass(frozen=True, slots=True, eq=False)
+class InputPrefix(_Node):
     subject: Name
     binder: Name
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Restriction:
+@dataclass(frozen=True, slots=True, eq=False)
+class Restriction(_Node):
     binder: Name
     body: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
+@dataclass(frozen=True, slots=True, eq=False)
+class Sum(_Node):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Par:
+@dataclass(frozen=True, slots=True, eq=False)
+class Par(_Node):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+@dataclass(frozen=True, slots=True, eq=False)
+class Call(_Node):
     ident: Name
     args: tuple[Name, ...]
 
@@ -208,38 +262,67 @@ def subterms(p: Process) -> Iterator[Process]:
 
 
 def free_names(p: Process) -> frozenset[Name]:
+    return _free(p)
+
+
+def _free(p: Process) -> frozenset[Name]:
+    """Memoized free names of `p`.  The module's own walks call this, so
+    a wrapper put around `free_names` sees only the outside calls."""
+    try:
+        out = p._free
+    except AttributeError:
+        raise TypeError(f"not a process: {p!r}") from None
+    if out is not None:
+        return out
     if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, TauPrefix):
-        return free_names(p.cont)
-    if isinstance(p, OutputPrefix):
-        return free_names(p.cont) | {p.subject, p.object}
-    if isinstance(p, InputPrefix):
-        return (free_names(p.cont) - {p.binder}) | {p.subject}
-    if isinstance(p, Restriction):
-        return free_names(p.body) - {p.binder}
-    if isinstance(p, (Sum, Par)):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Call):
-        return frozenset(p.args)
-    raise TypeError(f"not a process: {p!r}")
+        out = frozenset()
+    elif isinstance(p, TauPrefix):
+        out = _free(p.cont)
+    elif isinstance(p, OutputPrefix):
+        out = _free(p.cont) | {p.subject, p.object}
+    elif isinstance(p, InputPrefix):
+        out = (_free(p.cont) - {p.binder}) | {p.subject}
+    elif isinstance(p, Restriction):
+        out = _free(p.body) - {p.binder}
+    elif isinstance(p, (Sum, Par)):
+        out = _free(p.left) | _free(p.right)
+    else:
+        out = frozenset(p.args)
+    out = shared_names(out)
+    _set_slot(p, "_free", out)
+    return out
 
 
 def all_names(p: Process) -> frozenset[Name]:
     """Every name occurring in `p`, free or bound."""
-    out: set[Name] = set()
-    for t in subterms(p):
-        if isinstance(t, OutputPrefix):
-            out.add(t.subject)
-            out.add(t.object)
-        elif isinstance(t, InputPrefix):
-            out.add(t.subject)
-            out.add(t.binder)
-        elif isinstance(t, Restriction):
-            out.add(t.binder)
-        elif isinstance(t, Call):
-            out.update(t.args)
-    return frozenset(out)
+    return _all(p)
+
+
+def _all(p: Process) -> frozenset[Name]:
+    """Memoized `all_names`."""
+    try:
+        out = p._all
+    except AttributeError:
+        raise TypeError(f"not a process: {p!r}") from None
+    if out is not None:
+        return out
+    if isinstance(p, Nil):
+        out = frozenset()
+    elif isinstance(p, TauPrefix):
+        out = _all(p.cont)
+    elif isinstance(p, OutputPrefix):
+        out = _all(p.cont) | {p.subject, p.object}
+    elif isinstance(p, InputPrefix):
+        out = _all(p.cont) | {p.subject, p.binder}
+    elif isinstance(p, Restriction):
+        out = _all(p.body) | {p.binder}
+    elif isinstance(p, (Sum, Par)):
+        out = _all(p.left) | _all(p.right)
+    else:
+        out = frozenset(p.args)
+    out = shared_names(out)
+    _set_slot(p, "_all", out)
+    return out
 
 
 def bound_names(p: Process) -> frozenset[Name]:
@@ -288,37 +371,39 @@ def substitute(p: Process, sub: Mapping[Name, Name]) -> Process:
 
 
 def _subst(p: Process, sub: dict[Name, Name]) -> Process:
-    if isinstance(p, Nil):
+    free = p._free
+    if (free if free is not None else _free(p)).isdisjoint(sub):
         return p
+    # Computing the free names of `p` memoized those of its children, so
+    # a child that keeps no name of `sub` is kept without a call.
+    if isinstance(p, OutputPrefix):
+        cont = p.cont
+        return OutputPrefix(sub.get(p.subject, p.subject), sub.get(p.object, p.object),
+                            cont if cont._free.isdisjoint(sub) else _subst(cont, sub))
+    if isinstance(p, (Sum, Par)):
+        left, right = p.left, p.right
+        return type(p)(left if left._free.isdisjoint(sub) else _subst(left, sub),
+                       right if right._free.isdisjoint(sub) else _subst(right, sub))
     if isinstance(p, TauPrefix):
         return TauPrefix(_subst(p.cont, sub))
-    if isinstance(p, OutputPrefix):
-        return OutputPrefix(sub.get(p.subject, p.subject), sub.get(p.object, p.object),
-                            _subst(p.cont, sub))
     if isinstance(p, InputPrefix):
         binder, cont = _subst_binder(p.binder, p.cont, sub)
         return InputPrefix(sub.get(p.subject, p.subject), binder, cont)
     if isinstance(p, Restriction):
         binder, body = _subst_binder(p.binder, p.body, sub)
         return Restriction(binder, body)
-    if isinstance(p, Sum):
-        return Sum(_subst(p.left, sub), _subst(p.right, sub))
-    if isinstance(p, Par):
-        return Par(_subst(p.left, sub), _subst(p.right, sub))
-    if isinstance(p, Call):
-        return Call(p.ident, tuple(sub.get(a, a) for a in p.args))
-    raise TypeError(f"not a process: {p!r}")
+    return Call(p.ident, tuple(sub.get(a, a) for a in p.args))
 
 
 def _subst_binder(binder: Name, scope: Process,
                   sub: dict[Name, Name]) -> tuple[Name, Process]:
-    relevant = {k: v for k, v in sub.items()
-                if k != binder and k in free_names(scope)}
+    free = _free(scope)
+    relevant = {k: v for k, v in sub.items() if k != binder and k in free}
     if not relevant:
         return binder, scope
     if binder in relevant.values():
         # Renaming first keeps the incoming names from being captured.
-        avoid = all_names(scope) | set(relevant) | set(relevant.values()) | {binder}
+        avoid = _all(scope) | set(relevant) | set(relevant.values()) | {binder}
         newb = fresh_name(avoid)
         scope = _subst(scope, {binder: newb})
         binder = newb
@@ -333,50 +418,57 @@ def canonical(p: Process) -> Process:
     """Rename binders to the deterministic sequence b0, b1, ... in preorder.
 
     Two processes are alpha-equivalent exactly when their canonical forms
-    are structurally equal.
+    are the same node.  Memoized on `p` and on the result, which is its
+    own canonical form.
     """
-    avoid = free_names(p)
-    counter = [0]
+    try:
+        out = p._canon
+    except AttributeError:
+        raise TypeError(f"not a process: {p!r}") from None
+    if out is None:
+        out = _canon(p, {}, _binder_names(_free(p)))
+        _set_slot(out, "_canon", out)
+        _set_slot(p, "_canon", out)
+    return out
 
-    def next_binder() -> Name:
-        while True:
-            cand = f"b{counter[0]}"
-            counter[0] += 1
-            if cand not in avoid:
-                return cand
 
-    def go(t: Process, env: dict[Name, Name]) -> Process:
-        if isinstance(t, Nil):
-            return t
-        if isinstance(t, TauPrefix):
-            return TauPrefix(go(t.cont, env))
-        if isinstance(t, OutputPrefix):
-            return OutputPrefix(env.get(t.subject, t.subject),
-                                env.get(t.object, t.object), go(t.cont, env))
-        if isinstance(t, InputPrefix):
-            nb = next_binder()
-            inner = dict(env)
-            inner[t.binder] = nb
-            return InputPrefix(env.get(t.subject, t.subject), nb, go(t.cont, inner))
-        if isinstance(t, Restriction):
-            nb = next_binder()
-            inner = dict(env)
-            inner[t.binder] = nb
-            return Restriction(nb, go(t.body, inner))
-        if isinstance(t, Sum):
-            return Sum(go(t.left, env), go(t.right, env))
-        if isinstance(t, Par):
-            return Par(go(t.left, env), go(t.right, env))
-        if isinstance(t, Call):
-            return Call(t.ident, tuple(env.get(a, a) for a in t.args))
-        raise TypeError(f"not a process: {t!r}")
+def _binder_names(avoid: frozenset[Name]) -> Iterator[Name]:
+    """The sequence b0, b1, ... without the names in `avoid`."""
+    i = 0
+    while True:
+        cand = f"b{i}"
+        if cand not in avoid:
+            yield cand
+        i += 1
 
-    return go(p, {})
+
+def _canon(t: Process, env: dict[Name, Name], binders: Iterator[Name]) -> Process:
+    if isinstance(t, Nil):
+        return t
+    if isinstance(t, TauPrefix):
+        return TauPrefix(_canon(t.cont, env, binders))
+    if isinstance(t, OutputPrefix):
+        return OutputPrefix(env.get(t.subject, t.subject),
+                            env.get(t.object, t.object), _canon(t.cont, env, binders))
+    if isinstance(t, InputPrefix):
+        inner = dict(env)
+        inner[t.binder] = next(binders)
+        return InputPrefix(env.get(t.subject, t.subject), inner[t.binder],
+                           _canon(t.cont, inner, binders))
+    if isinstance(t, Restriction):
+        inner = dict(env)
+        inner[t.binder] = next(binders)
+        return Restriction(inner[t.binder], _canon(t.body, inner, binders))
+    if isinstance(t, Sum):
+        return Sum(_canon(t.left, env, binders), _canon(t.right, env, binders))
+    if isinstance(t, Par):
+        return Par(_canon(t.left, env, binders), _canon(t.right, env, binders))
+    return Call(t.ident, tuple(env.get(a, a) for a in t.args))
 
 
 def alpha_eq(p: Process, q: Process) -> bool:
     """Equality up to consistent renaming of binders."""
-    return canonical(p) == canonical(q)
+    return canonical(p) is canonical(q)
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +507,9 @@ class Environment:
         for d in table.values():
             self.check_calls(d.body)
         self._key = tuple(sorted(
-            (d.ident, d.params, canonical(d.body)) for d in table.values()))
+            (d.ident, d.params, d.body) for d in table.values()))
+        self._names = frozenset().union(
+            *(set(d.params) | all_names(d.body) for d in table.values()))
 
     def check_calls(self, p: Process) -> None:
         for t in subterms(p):
@@ -436,11 +530,7 @@ class Environment:
         return substitute(d.body, dict(zip(d.params, call.args)))
 
     def names(self) -> frozenset[Name]:
-        out: set[Name] = set()
-        for d in self._defs.values():
-            out.update(d.params)
-            out.update(all_names(d.body))
-        return frozenset(out)
+        return self._names
 
     def idents(self) -> tuple[Name, ...]:
         return tuple(sorted(self._defs))
@@ -453,7 +543,8 @@ class Environment:
 
     @property
     def key(self):
-        """Stable fingerprint used by caches."""
+        """Fingerprint used by caches: equal exactly when the definitions
+        are the same terms, binder names included."""
         return self._key
 
 

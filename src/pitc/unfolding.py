@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import StateBudgetExceeded
+from .errors import InternalError, StateBudgetExceeded
 from .syntax import (
     EMPTY_ENV, Action, Environment, FreeOutput, Input, Name, Process, Tau,
     all_names, alpha_eq,
@@ -127,24 +127,42 @@ class UnfoldedLTS:
     def pes_configs(self) -> list[Config]:
         """All downward-closed sub-histories of reached configurations."""
         return sorted((frozenset(e for e in self.events if m >> e & 1)
-                       for m in self.config_masks()),
+                       for m in self.sub_histories()),
                       key=lambda c: (len(c), sorted(c)))
 
-    def config_masks(self) -> set[int]:
-        """`pes_configs` as bit masks over event ids."""
+    def sub_histories(self) -> dict[int, list[tuple[int, int]]]:
+        """Every sub-history as a bit mask over event ids, mapped to its
+        one-event extensions `(event, grown mask)` in event order.
+
+        Generated forward from the empty sub-history, each one expanded
+        once: its extensions are the events of a reached configuration
+        containing it whose causes it holds.
+        """
         causes = {e: sum(1 << c for c in ev.causes)
                   for e, ev in self.events.items()}
-        out: set[int] = set()
-        for cfg in self.nodes:
-            elems = sorted(cfg)
-            for mask in range(1 << len(elems)):
-                sub = 0
-                for i, e in enumerate(elems):
-                    if mask >> i & 1:
-                        sub |= 1 << e
-                if sub not in out and all(causes[e] & ~sub == 0
-                                          for e in elems if sub >> e & 1):
-                    out.add(sub)
+        out: dict[int, list[tuple[int, int]]] = {}
+        # Frontier sub-history -> the reached configurations containing it.
+        above = {0: [sum(1 << e for e in cfg) for cfg in self.nodes]}
+        work = [0]
+        while work:
+            c = work.pop()
+            sup = above.pop(c)
+            span = 0
+            for m in sup:
+                span |= m
+            span &= ~c
+            exts = out[c] = []
+            while span:
+                bit = span & -span
+                span ^= bit
+                e = bit.bit_length() - 1
+                if causes[e] & ~c:
+                    continue
+                grown = c | bit
+                exts.append((e, grown))
+                if grown not in out and grown not in above:
+                    above[grown] = [m for m in sup if m & bit]
+                    work.append(grown)
         return out
 
     # -- exports ----------------------------------------------------------
@@ -259,8 +277,8 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
                     u.nodes[tgt] = NodeRecord(tgt, resolved, erase(resolved))
                     nxt.append(tgt)
                 elif not alpha_eq(u.nodes[tgt].plain, erase(resolved)):
-                    raise StateBudgetExceeded(
-                        "internal: one configuration reached with two residuals")
+                    raise InternalError(
+                        "one configuration reached with two residuals")
         frontier = nxt
         if not frontier:
             u.exhaustive = True

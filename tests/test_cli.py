@@ -14,6 +14,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from pitc import InternalError, cli
 from pitc.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "pitc" / "schemas"
@@ -188,6 +189,39 @@ def test_prove_implies_step_check(capsys):
     for p, q in pairs:
         assert run(capsys, "prove", p, q)[0] == 0
         assert run(capsys, "check", "--rel", "step", p, q)[0] == 0
+
+
+class TestDeepTerms:
+    """Deep nesting answers, or exits with its own code and one line."""
+
+    @staticmethod
+    def run_cli(*argv) -> subprocess.CompletedProcess:
+        # A fresh interpreter, so the test runner's frames do not count
+        # against the recursion limit.
+        return subprocess.run([sys.executable, "-m", "pitc.cli", *argv],
+                              capture_output=True, text=True)
+
+    def test_three_hundred_prefixes_answer(self):
+        term = "tau." * 300 + "0"
+        proc = self.run_cli("check", "--rel", "step", term, term)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("step: equivalent")
+
+    def test_too_deep_is_exit_four(self):
+        term = "tau." * 2000 + "0"
+        proc = self.run_cli("check", "--rel", "step", term, term)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "error: term nested too deeply for the recursion limit"]
+
+
+def test_internal_error_is_exit_five(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("one configuration reached with two residuals")
+    monkeypatch.setattr(cli, "unfold", broken)
+    assert main(["unfold", "tau.0"]) == 5
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_console_script_entry_point():

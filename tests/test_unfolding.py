@@ -7,13 +7,14 @@ import json
 import pytest
 
 from pitc import (
-    StateBudgetExceeded, parse_term, pomset_iso, pomset_transitions,
-    transitions, unfold,
+    StateBudgetExceeded, parse_file, parse_term, pomset_iso,
+    pomset_transitions, transitions, unfold,
 )
 from pitc.semantics import label_key
-from pitc.syntax import Input
+from pitc.syntax import EMPTY_ENV, Input, all_names
 
 from helpers import random_process, rng_for
+from test_golden import CASES, _choice, _choice_distributed
 
 
 def event_by_action(u, text):
@@ -173,3 +174,45 @@ class TestExports:
         ec = event_by_action(u, "c!w").eid
         assert frozenset() in configs
         assert frozenset({ec}) in configs
+
+
+def reference_sub_histories(u) -> dict:
+    """Every subset of every reached configuration, kept when downward
+    closed, with its one-event extensions found by trying every event:
+    the direct enumeration that `UnfoldedLTS.sub_histories` replaces."""
+    causes = {e: sum(1 << c for c in ev.causes) for e, ev in u.events.items()}
+    masks = set()
+    for cfg in u.nodes:
+        elems = sorted(cfg)
+        for pick in range(1 << len(elems)):
+            sub = sum(1 << e for i, e in enumerate(elems) if pick >> i & 1)
+            if all(causes[e] & ~sub == 0 for e in elems if sub >> e & 1):
+                masks.add(sub)
+    return {c: [(e, c | 1 << e) for e in sorted(causes)
+                if not c >> e & 1 and causes[e] & ~c == 0
+                and c | 1 << e in masks]
+            for c in masks}
+
+
+def assert_sub_histories_agree(p, q, env, depth: int) -> None:
+    avoid = all_names(p) | all_names(q) | env.names()
+    for t in (p, q):
+        u = unfold(t, env, depth, avoid=avoid)
+        assert u.sub_histories() == reference_sub_histories(u)
+
+
+class TestSubHistories:
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_agree_with_enumeration_on_golden_corpus(self, case):
+        _, defs, lhs, rhs, depth = case
+        src = parse_file(f"{defs}LHS = {lhs}\nRHS = {rhs}\n")
+        assert_sub_histories_agree(src.named["LHS"], src.named["RHS"],
+                                   src.environment(), depth)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agree_with_enumeration_on_choice_family(self, n):
+        lhs = parse_term(_choice(n))
+        for twin in (_choice(n, swap=True), _choice_distributed(n),
+                     _choice(n, first="z")):
+            assert_sub_histories_agree(lhs, parse_term(twin),
+                                       EMPTY_ENV, 3)
