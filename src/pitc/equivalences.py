@@ -346,7 +346,7 @@ class _HpGame:
         self.env = env
         self.budget = budget
         self.memo: dict[tuple, bool] = {}
-        self.witness: list = []
+        self.witness: dict[tuple, list] = {}
 
     def check(self, p: Process, q: Process, depth: int) -> bool:
         alloc1, alloc2 = Alloc(), Alloc()
@@ -377,7 +377,8 @@ class _HpGame:
                           lambda e2, e1: self._try(e1, e2, c1, c2, f, d, base)))
         self.memo[key] = ok
         if ok and len(self.witness) < 200:
-            self.witness.append([sorted(c1), list(f), sorted(c2)])
+            self.witness.setdefault((tuple(sorted(c1)), f, tuple(sorted(c2))),
+                                    [sorted(c1), list(f), sorted(c2)])
         return ok
 
     def _edges(self, ap: ATerm, avoid: frozenset[Name],
@@ -467,7 +468,7 @@ def check_hp(p: Process, q: Process, env: Environment = EMPTY_ENV,
     equivalent = game.check(p, q, depth)
     verdict = RelationVerdict("hp", equivalent, depth, _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = game.witness
+        verdict.witness = list(game.witness.values())
     else:
         step = _StepGame(env, _Budget(budget))
         verdict.distinguisher = {
