@@ -3,8 +3,10 @@ unfoldings.
 
 Step, pomset and hp are late-style and share one matching kernel,
 `semantics.late_instances`: matched input steps must leave residuals
-related under instantiation of the bound placeholder with every free name
-of the two processes plus one fresh name.  hhp is not: it compares event
+related under instantiation of the bound placeholder with every test name
+of the game state.  The test names are the free names of the state's two
+processes plus one fresh name (`instance_names`), computed once per state
+and passed to each of its matches.  hhp is not: it compares event
 labels with placeholders abstracted, on one symbolic unfolding of each
 process, and never instantiates inputs.  Verdicts are bounded by the
 depth; for recursion-free terms the bound is exhaustive and the verdict
@@ -111,6 +113,15 @@ def _label_key(step: Transition | _GameEdge) -> tuple:
     return label_key(step.label)
 
 
+def _tests(p: Process, q: Process, env: Environment
+           ) -> tuple[list[Name], frozenset[Name]]:
+    """The test names of a game state between `p` and `q`, computed once
+    per state, and the names its late renamings avoid besides the
+    residuals': those of `p`, `q` and the tests."""
+    names = instance_names(p, q, env)
+    return names, (all_names(p) | all_names(q)).union(names)
+
+
 def _holds(eq, a: Process, b: Process, d: int, left_attacks: bool) -> bool:
     """`eq` on an (attacker, defender) residual pair, left process first."""
     return eq(a, b, d) if left_attacks else eq(b, a, d)
@@ -134,32 +145,36 @@ class _StepGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        avoid = all_names(p) | all_names(q)
-        tp = transitions(p, self.env, avoid=avoid)
-        tq = transitions(q, self.env, avoid=avoid)
+        tp, tq, names, avoid = self._state(p, q)
         result = (
             _covers(tp, tq, _label_key,
-                    lambda t, u: self._match(t, u, p, q, avoid, d, True))
+                    lambda t, u: self._match(t, u, names, avoid, d, True))
             and _covers(tq, tp, _label_key,
-                        lambda t, u: self._match(t, u, p, q, avoid, d, False)))
+                        lambda t, u: self._match(t, u, names, avoid, d, False)))
         self.memo[key] = result
         return result
 
-    def _late(self, t: Transition, u: Transition, p: Process, q: Process,
-              pq_names: frozenset[Name]
+    def _state(self, p: Process, q: Process) -> tuple:
+        """The steps of `p` and of `q`, then `_tests(p, q)`."""
+        pq_names = all_names(p) | all_names(q)
+        return (transitions(p, self.env, avoid=pq_names),
+                transitions(q, self.env, avoid=pq_names),
+                *_tests(p, q, self.env))
+
+    @staticmethod
+    def _late(t: Transition, u: Transition, names: Sequence[Name],
+              avoid: frozenset[Name]
               ) -> Iterator[tuple[dict, dict, LateInstances]]:
-        """Late matching of attacker `t` against defender `u`, steps of `p`
-        and `q`, whose names are `pq_names`; the pairs are (attacker
-        residual, defender residual)."""
-        names = instance_names(p, q, self.env)
-        avoid = (all_names(t.target) | all_names(u.target)
-                 | pq_names | set(names))
+        """Late matching of attacker `t` against defender `u` with the
+        state's test `names`; the pairs are (attacker residual, defender
+        residual)."""
+        avoid = avoid | all_names(t.target) | all_names(u.target)
         return late_instances(t.label, class_bijections(t.label, u.label),
                               t.target, u.target, avoid, names, substitute)
 
-    def _match(self, t: Transition, u: Transition, p: Process, q: Process,
-               pq_names: frozenset[Name], d: int, left_attacks: bool) -> bool:
-        for _, _, pairs in self._late(t, u, p, q, pq_names):
+    def _match(self, t: Transition, u: Transition, names: Sequence[Name],
+               avoid: frozenset[Name], d: int, left_attacks: bool) -> bool:
+        for _, _, pairs in self._late(t, u, names, avoid):
             if all(_holds(self.eq, a, b, d - 1, left_attacks)
                    for a, b in pairs):
                 return True
@@ -172,9 +187,7 @@ class _StepGame:
         return {"steps": []}
 
     def _trace(self, p: Process, q: Process, d: int, path: list) -> list:
-        avoid = all_names(p) | all_names(q)
-        tp = transitions(p, self.env, avoid=avoid)
-        tq = transitions(q, self.env, avoid=avoid)
+        tp, tq, names, avoid = self._state(p, q)
         for attackers, defenders, side, flag in (
                 (tp, tq, "left", True), (tq, tp, "right", False)):
             groups = _by_key(defenders, _label_key)
@@ -183,12 +196,12 @@ class _StepGame:
                 if not cands:
                     return path + [{"side": side, "label": format_label(t.label),
                                     "unmatched": True}]
-                if not any(self._match(t, u, p, q, avoid, d, flag)
+                if not any(self._match(t, u, names, avoid, d, flag)
                            for u in cands):
                     step = {"side": side, "label": format_label(t.label),
                             "unmatched": False}
                     # No pairing matches, so the first one has a failing pair.
-                    _, _, first = next(self._late(t, cands[0], p, q, avoid),
+                    _, _, first = next(self._late(t, cands[0], names, avoid),
                                        (None, None, ()))
                     nxt = next(((a, b) for a, b in first
                                 if not _holds(self.eq, a, b, d - 1, flag)),
@@ -246,15 +259,14 @@ class _PomsetGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        p_names, q_names = all_names(p), all_names(q)
-        pq_names = p_names | q_names
-        ps = self._pomsets(p, q_names, d)
-        qs = self._pomsets(q, p_names, d)
+        ps = self._pomsets(p, all_names(q), d)
+        qs = self._pomsets(q, all_names(p), d)
+        names, avoid = _tests(p, q, self.env)
         result = (
             _covers(ps, qs, _pomset_key,
-                    lambda a, b: self._match(a, b, p, q, pq_names, d, True))
+                    lambda a, b: self._match(a, b, names, avoid, d, True))
             and _covers(qs, ps, _pomset_key,
-                        lambda a, b: self._match(a, b, p, q, pq_names, d,
+                        lambda a, b: self._match(a, b, names, avoid, d,
                                                  False)))
         self.memo[key] = result
         return result
@@ -273,15 +285,14 @@ class _PomsetGame:
         for dd in range(1, depth + 1):
             if self.eq(p, q, dd):
                 continue
+            names, avoid = _tests(p, q, self.env)
             for side, a, b in (("left", p, q), ("right", q, p)):
-                a_names, b_names = all_names(a), all_names(b)
-                ab_names = a_names | b_names
-                attackers = self._pomsets(a, b_names, dd)
-                defenders = self._pomsets(b, a_names, dd)
+                attackers = self._pomsets(a, all_names(b), dd)
+                defenders = self._pomsets(b, all_names(a), dd)
                 flag = side == "left"
                 groups = _by_key(defenders, _pomset_key)
                 for att in sorted(attackers, key=lambda it: len(it[0].events)):
-                    if not any(self._match(att, dfn, a, b, ab_names, dd, flag)
+                    if not any(self._match(att, dfn, names, avoid, dd, flag)
                                for dfn in groups.get(_pomset_key(att), ())):
                         x1 = att[0]
                         return {"side": side,
@@ -291,11 +302,10 @@ class _PomsetGame:
         return {"note": "no matching pomset transition"}
 
     def _match(self, att: tuple[PomsetTransition, Process],
-               dfn: tuple[PomsetTransition, Process], p: Process, q: Process,
-               pq_names: frozenset[Name], d: int, left_attacks: bool) -> bool:
+               dfn: tuple[PomsetTransition, Process], names: Sequence[Name],
+               avoid: frozenset[Name], d: int, left_attacks: bool) -> bool:
         (x1, tgt1), (x2, tgt2) = att, dfn
-        names = instance_names(p, q, self.env)
-        avoid = all_names(tgt1) | all_names(tgt2) | pq_names | set(names)
+        avoid = avoid | all_names(tgt1) | all_names(tgt2)
         rest = d - x1.steps
         return any(
             all(_holds(self.eq, a, b, rest, left_attacks) for a, b in pairs)
@@ -371,10 +381,13 @@ class _HpGame:
         avoid = base | anames(ap1) | anames(ap2)
         e1s = self._edges(ap1, avoid, len(c1))
         e2s = self._edges(ap2, avoid, len(c2))
+        names = instance_names(erase(ap1), erase(ap2), self.env)
         ok = (_covers(e1s, e2s, _label_key,
-                      lambda e1, e2: self._try(e1, e2, c1, c2, f, d, base))
+                      lambda e1, e2: self._try(e1, e2, c1, c2, f, d, base,
+                                               names))
               and _covers(e2s, e1s, _label_key,
-                          lambda e2, e1: self._try(e1, e2, c1, c2, f, d, base)))
+                          lambda e2, e1: self._try(e1, e2, c1, c2, f, d, base,
+                                                   names)))
         self.memo[key] = ok
         if ok and len(self.witness) < 200:
             self.witness.setdefault((tuple(sorted(c1)), f, tuple(sorted(c2))),
@@ -402,11 +415,12 @@ class _HpGame:
                 out.append(edge)
         return out
 
-    def _try(self, e1: _GameEdge, e2: _GameEdge, c1, c2, f, d, base) -> bool:
-        """Can the left edge `e1` and the right edge `e2` answer each other?"""
+    def _try(self, e1: _GameEdge, e2: _GameEdge, c1, c2, f, d, base,
+             names: Sequence[Name]) -> bool:
+        """Can the left edge `e1` and the right edge `e2` answer each other,
+        inputs instantiated with the state's test `names`?"""
         fmap = dict(f)
-        names = instance_names(erase(e1.target), erase(e2.target), self.env)
-        avoid = base | anames(e1.target) | anames(e2.target) | set(names)
+        avoid = base.union(names, anames(e1.target), anames(e2.target))
         for sub1, sub2, pairs in late_instances(
                 e1.label, class_bijections(e1.label, e2.label),
                 e1.target, e2.target, avoid, names, asubst):
