@@ -221,16 +221,18 @@ def check_step(p: Process, q: Process, env: Environment = EMPTY_ENV,
     equivalent = game.eq(p, q, depth)
     verdict = RelationVerdict("step", equivalent, depth, _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = _step_witness(game)
+        verdict.witness = _pair_witness(game.memo)
     else:
         verdict.distinguisher = game.explain(p, q, depth)
     return verdict
 
 
-def _step_witness(game: _StepGame, cap: int = 200) -> list:
+def _pair_witness(memo: dict[tuple, bool], cap: int = 200) -> list:
+    """The first `cap` distinct process pairs that a step or pomset memo
+    holds as related, at any depth, in the memo's order."""
     pairs = []
     seen = set()
-    for (cp, cq, _), ok in game.memo.items():
+    for (cp, cq, _), ok in memo.items():
         if ok and (cp, cq) not in seen:
             seen.add((cp, cq))
             pairs.append([format_process(cp), format_process(cq)])
@@ -332,8 +334,7 @@ def check_pomset(p: Process, q: Process, env: Environment = EMPTY_ENV,
     verdict = RelationVerdict("pomset", equivalent, depth,
                               _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = [[format_process(a), format_process(b)]
-                           for (a, b, _), ok in list(game.memo.items())[:200] if ok]
+        verdict.witness = _pair_witness(game.memo)
     else:
         verdict.distinguisher = game.explain(p, q, depth)
     return verdict

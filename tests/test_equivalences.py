@@ -162,3 +162,17 @@ class TestVerdictShape:
             check_step(p, q, depth=6, budget=2)
         with pytest.raises(StateBudgetExceeded):
             check_hhp(p, q, depth=6, budget=3)
+
+    def test_pair_witness_filters_before_capping(self):
+        from pitc.equivalences import _pair_witness
+        terms = [parse_term(f"a{i}!u.0") for i in range(210)]
+        # Five unrelated pairs first, then 205 related ones, each related
+        # at two depths.
+        memo = {(terms[i], terms[i], 3): False for i in range(5)}
+        for i in range(5, 210):
+            memo[(terms[i], terms[i], 2)] = True
+            memo[(terms[i], terms[i], 1)] = True
+        got = _pair_witness(memo)
+        assert len(got) == 200
+        assert got[0] == ["a5!u.0", "a5!u.0"]
+        assert len({tuple(pair) for pair in got}) == 200
