@@ -16,10 +16,7 @@ from .syntax import (
     substitute,
 )
 from .parser import format_process, load_file, parse_file, parse_term
-from .semantics import (
-    Transition, format_label, label_alpha_eq, open_transition_targets,
-    transitions,
-)
+from .semantics import Transition, format_label, label_alpha_eq, transitions
 from .unfolding import (
     PomsetTransition, UnfoldedLTS, pomset_iso, pomset_transitions, unfold,
 )

@@ -26,7 +26,7 @@ from .syntax import (
     EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
     Sum, TauPrefix, Tau, action_names, all_names, canonical, free_names,
-    fresh_name, fresh_names, rename_action, shared_names, substitute,
+    fresh_name, fresh_names, rename_action, shared_names,
 )
 
 DEFAULT_GUARD_DEPTH = 64
@@ -800,34 +800,6 @@ def finalize(fires: tuple[Fire, ...], target: ATerm,
     ordered = tuple([Fire(rename_action(f.action, tokmap), f.uids, f.causes,
                           f.ev, tokmap.get(f.tok)) for f in picked])
     return ordered, amap(target, names=tokmap)
-
-
-def open_transition_targets(p: Process, env: Environment = EMPTY_ENV, *,
-                            avoid: Iterable[Name] = (),
-                            guard_depth: int = DEFAULT_GUARD_DEPTH
-                            ) -> tuple[Transition, ...]:
-    """Scope-extruding transitions of a restriction, derived directly.
-
-    For each transition of the body whose actions all output the
-    restricted name on other subjects, emits the bound-output step with
-    one canonical fresh placeholder.  Subsumed by `transitions`; exposed
-    so the extrusion rule can be tested in isolation.
-    """
-    if not isinstance(p, Restriction):
-        raise ValueError("open_transition_targets takes a restriction")
-    base_avoid = frozenset(all_names(p) | env.names() | set(avoid))
-    out = []
-    for t in transitions(p.body, env, avoid=base_avoid,
-                         guard_depth=guard_depth):
-        if t.label and all(isinstance(a, FreeOutput)
-                           and a.object == p.binder
-                           and a.subject != p.binder for a in t.label):
-            w = fresh_name(base_avoid)
-            label = tuple(BoundOutput(a.subject, w) for a in t.label)
-            out.append(Transition(p, label,
-                                  substitute(t.target, {p.binder: w})))
-    return tuple(sorted(out, key=lambda t: (label_key(t.label),
-                                            str(canonical(t.target)))))
 
 
 def transition_json(t: Transition) -> dict:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Optional
 
 from pitc import (
-    NIL, Call, Definition, Environment, InputPrefix, OutputPrefix, Par,
-    Process, Restriction, Sum, TauPrefix, free_names, fresh_name, substitute,
+    NIL, BoundOutput, Call, Definition, Environment, FreeOutput, InputPrefix,
+    OutputPrefix, Par, Process, Restriction, Sum, TauPrefix, Transition,
+    canonical, free_names, fresh_name, substitute, transitions,
 )
-from pitc.syntax import all_names
+from pitc.semantics import label_key
+from pitc.syntax import EMPTY_ENV, Name, all_names
 
 NAME_POOL = ["a", "b", "c", "d", "x", "y", "z", "u"]
 
@@ -234,3 +236,27 @@ def law_instances(rng: random.Random, law: str,
 
 ALL_LAWS = ("S0", "S1", "S2", "S3", "R0", "R1", "R2", "R3", "R4",
             "P1", "P2", "P3", "P4", "P5", "IDENT")
+
+
+def open_transition_targets(p: Restriction, env: Environment = EMPTY_ENV, *,
+                            avoid: Iterable[Name] = ()
+                            ) -> tuple[Transition, ...]:
+    """Scope-extruding transitions of a restriction, derived directly.
+
+    For each transition of the body whose actions all output the
+    restricted name on other subjects, emits the bound-output step with
+    one canonical fresh placeholder: an oracle for the extrusion rule,
+    which `transitions` subsumes.
+    """
+    base_avoid = frozenset(all_names(p) | env.names() | set(avoid))
+    out = []
+    for t in transitions(p.body, env, avoid=base_avoid):
+        if t.label and all(isinstance(a, FreeOutput)
+                           and a.object == p.binder
+                           and a.subject != p.binder for a in t.label):
+            w = fresh_name(base_avoid)
+            label = tuple(BoundOutput(a.subject, w) for a in t.label)
+            out.append(Transition(p, label,
+                                  substitute(t.target, {p.binder: w})))
+    return tuple(sorted(out, key=lambda t: (label_key(t.label),
+                                            str(canonical(t.target)))))

@@ -14,7 +14,9 @@ from pitc.semantics import (
 )
 from pitc.syntax import BoundOutput, FreeOutput, Input, TAU, all_names
 
-from helpers import injective_renaming, random_process, rng_for
+from helpers import (
+    injective_renaming, open_transition_targets, random_process, rng_for,
+)
 
 
 def labels_of(p, env=None, **kw):
@@ -84,14 +86,12 @@ class TestParallelRules:
 
 class TestOpenTransitionTargets:
     def test_open_instance(self):
-        from pitc import open_transition_targets
         ts = open_transition_targets(parse_term("nu y. x!y.0"))
         assert len(ts) == 1
         assert ts[0].label == (BoundOutput("x", "w0"),)
         assert ts[0].target == NIL
 
     def test_res_path_not_included(self):
-        from pitc import open_transition_targets
         p = parse_term("nu y. x!z.0")
         assert open_transition_targets(p) == ()
         (t,) = transitions(p)
@@ -99,13 +99,11 @@ class TestOpenTransitionTargets:
         assert t.target == parse_term("nu y. 0")
 
     def test_blocked_both_ways(self):
-        from pitc import open_transition_targets
         p = parse_term("nu x. x!y.0")
         assert open_transition_targets(p) == ()
         assert transitions(p) == ()
 
     def test_subsumed_by_transitions(self):
-        from pitc import open_transition_targets
         for src in ("nu y. x!y.0", "nu y. (x!y.0 | z!y.0)",
                     "nu y. (x!y.0 + a!b.0)"):
             p = parse_term(src)
