@@ -284,10 +284,10 @@ class _PomsetGame:
 
     def explain(self, p: Process, q: Process, depth: int) -> dict:
         """Smallest unmatched pomset at the first depth that separates."""
+        names, avoid = _tests(p, q, self.env)
         for dd in range(1, depth + 1):
             if self.eq(p, q, dd):
                 continue
-            names, avoid = _tests(p, q, self.env)
             for side, a, b in (("left", p, q), ("right", q, p)):
                 attackers = self._pomsets(a, all_names(b), dd)
                 defenders = self._pomsets(b, all_names(a), dd)
