@@ -1,11 +1,11 @@
 """Command-line front end: parse, step, check, prove, unfold.
 
 Exit codes: 0 success / equivalent / proved, 1 not equivalent / not
-provable, 2 usage or parse error, 3 budget or guardedness error, 4 a term
-nested too deeply for the interpreter's recursion limit, 5 internal error
-(a broken invariant of the workbench itself).  The node budget for
-unfolding and checking can be overridden with the PITC_STATE_BUDGET
-environment variable.
+provable, 2 usage, parse or unreadable-file error, 3 budget or guardedness
+error, 4 a term nested too deeply for the interpreter's recursion limit,
+5 internal error (a broken invariant of the workbench itself).  The node
+budget for unfolding and checking can be overridden with the
+PITC_STATE_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .errors import (
     BadDefinition, DepthExceeded, InternalError, NotWeaklyGuarded, ParseError,
     PitcError, StateBudgetExceeded, UnguardedRecursion, UnknownIdentifier,
 )
-from .parser import SourceFile, format_process, load_file, parse_term
+from .parser import SourceFile, format_process, parse_file, parse_term
 from .syntax import EMPTY_ENV, Environment, Process, canonical
 from .semantics import format_label, transition_json, transitions
-from .unfolding import unfold
+from .unfolding import DEFAULT_STATE_BUDGET, unfold
 from .equivalences import DEFAULT_DEPTH, DEFAULT_MAX_POMSET, check
 from .prover import prove_eq
 
@@ -41,17 +41,28 @@ _BUDGET_ERRORS = (UnguardedRecursion, StateBudgetExceeded, NotWeaklyGuarded,
 def _budget() -> int:
     raw = os.environ.get("PITC_STATE_BUDGET")
     if raw is None:
-        return 100_000
+        return DEFAULT_STATE_BUDGET
     try:
         return int(raw)
     except ValueError:
         raise ParseError(f"PITC_STATE_BUDGET must be an integer, got {raw!r}", 0, 0)
 
 
+def _read(path: str) -> str:
+    """The text of the file at `path`; one that cannot be read is a usage
+    error, not a traceback."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise PitcError(f"cannot read {path}: {reason}") from None
+
+
 def _load_env(path: Optional[str]) -> tuple[Environment, SourceFile]:
     if path is None:
         return EMPTY_ENV, SourceFile()
-    src = load_file(path)
+    src = parse_file(_read(path))
     return src.environment(), src
 
 
@@ -60,11 +71,7 @@ def _term(text: str, src: SourceFile) -> Process:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = args.term
+    text = _read(args.file) if args.file else args.term
     _, src = _load_env(args.env)
     p = _term(text, src)
     print(format_process(canonical(p)))
@@ -88,6 +95,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     env, src = _load_env(args.env)
     if args.depth < 1:
         print("error: --depth must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_pomset < 1:
+        print("error: --max-pomset must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     p = _term(args.p, src)
     q = _term(args.q, src)

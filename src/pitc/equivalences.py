@@ -12,11 +12,13 @@ process, and never instantiates inputs.  Verdicts are bounded by the
 depth; for recursion-free terms the bound is exhaustive and the verdict
 exact.
 
-step / pomset   games over process pairs, matching step edges resp.
-                compositions of consecutive step edges.
-hp              game over posetal triples grown one step edge at a time,
-                the event pairing extended by a label- and order-
-                preserving bijection.
+step / pomset   one game over process pairs that differs only in its
+                moves: step edges, resp. compositions of consecutive step
+                edges matched up to pomset isomorphism.
+hp              game over posetal triples grown one step edge at a time;
+                a state is the event pairing f (whose domain and range are
+                the two histories) and the two annotated residuals, and f
+                grows by a label- and order-preserving bijection.
 hhp             greatest downward-closed posetal fixpoint over the two
                 unfolded event structures: triples generated forward from
                 the empty one an event pair at a time, then refined with
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import StateBudgetExceeded
 from .parser import format_process
@@ -36,19 +38,17 @@ from .syntax import (
     has_call, prefix_height, substitute,
 )
 from .semantics import (
-    Alloc, ATerm, DEFAULT_GUARD_DEPTH, LateInstances, Transition, amap,
-    anames, annotate, asubst, class_bijections, erase, finalize, format_label,
-    instance_names, label_key, late_instances, raw_steps, relabel,
-    rename_action, transitions,
+    Alloc, ATerm, LateInstances, amap, anames, annotate, asubst,
+    class_bijections, erase, finalize, format_label, instance_names,
+    label_key, late_instances, raw_steps, relabel, rename_action, transitions,
 )
 from .unfolding import (
-    PomsetTransition, UnfoldedLTS, abstract_action, pomset_isos,
-    pomset_transitions, unfold,
+    DEFAULT_STATE_BUDGET, PomsetTransition, UnfoldedLTS, abstract_action,
+    pomset_isos, pomset_transitions, unfold,
 )
 
 DEFAULT_DEPTH = 8
 DEFAULT_MAX_POMSET = 4
-DEFAULT_GAME_BUDGET = 100_000
 
 
 @dataclass
@@ -109,8 +109,17 @@ def _covers(attackers, defenders, key, match) -> bool:
                for a in attackers)
 
 
-def _label_key(step: Transition | _GameEdge) -> tuple:
-    return label_key(step.label)
+class _Move(NamedTuple):
+    """A move of the step or pomset game: one step, or a composition of
+    `steps` consecutive steps and the `pomset` it fires."""
+    label: tuple[Action, ...]
+    target: Process
+    steps: int = 1
+    pomset: Optional[PomsetTransition] = None
+
+
+def _label_key(move: _Move | _GameEdge) -> tuple:
+    return label_key(move.label)
 
 
 def _tests(p: Process, q: Process, env: Environment
@@ -128,10 +137,15 @@ def _holds(eq, a: Process, b: Process, d: int, left_attacks: bool) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Strong step bisimilarity
+# Strong step and pomset bisimilarity: one late game over process pairs
 # --------------------------------------------------------------------------
 
-class _StepGame:
+class _LateGame:
+    """Each move of either process is answered by one of the other with
+    the same `_key` whose residuals stay related, at the depth less its
+    steps, under every late instance.  Subclasses give `relation`,
+    `_moves`, `_key`, `_pairings` and `explain`."""
+
     def __init__(self, env: Environment, budget: _Budget) -> None:
         self.env = env
         self.budget = budget
@@ -145,40 +159,59 @@ class _StepGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        tp, tq, names, avoid = self._state(p, q)
+        mp, mq, names, avoid = self._state(p, q, d)
         result = (
-            _covers(tp, tq, _label_key,
+            _covers(mp, mq, self._key,
                     lambda t, u: self._match(t, u, names, avoid, d, True))
-            and _covers(tq, tp, _label_key,
+            and _covers(mq, mp, self._key,
                         lambda t, u: self._match(t, u, names, avoid, d, False)))
         self.memo[key] = result
         return result
 
-    def _state(self, p: Process, q: Process) -> tuple:
-        """The steps of `p` and of `q`, then `_tests(p, q)`."""
-        pq_names = all_names(p) | all_names(q)
-        return (transitions(p, self.env, avoid=pq_names),
-                transitions(q, self.env, avoid=pq_names),
-                *_tests(p, q, self.env))
+    def verdict(self, p: Process, q: Process, depth: int) -> RelationVerdict:
+        equivalent = self.eq(p, q, depth)
+        verdict = RelationVerdict(self.relation, equivalent, depth,
+                                  _is_exact(p, q, depth))
+        if equivalent:
+            verdict.witness = _pair_witness(self.memo)
+        else:
+            verdict.distinguisher = self.explain(p, q, depth)
+        return verdict
 
-    @staticmethod
-    def _late(t: Transition, u: Transition, names: Sequence[Name],
+    def _state(self, p: Process, q: Process, d: int) -> tuple:
+        """The moves of `p` and of `q`, then `_tests(p, q)`."""
+        return (*self._moves(p, q, d), *_tests(p, q, self.env))
+
+    def _late(self, t: _Move, u: _Move, names: Sequence[Name],
               avoid: frozenset[Name]
               ) -> Iterator[tuple[dict, dict, LateInstances]]:
         """Late matching of attacker `t` against defender `u` with the
         state's test `names`; the pairs are (attacker residual, defender
         residual)."""
         avoid = avoid | all_names(t.target) | all_names(u.target)
-        return late_instances(t.label, class_bijections(t.label, u.label),
-                              t.target, u.target, avoid, names, substitute)
+        return late_instances(t.label, self._pairings(t, u), t.target,
+                              u.target, avoid, names, substitute)
 
-    def _match(self, t: Transition, u: Transition, names: Sequence[Name],
+    def _match(self, t: _Move, u: _Move, names: Sequence[Name],
                avoid: frozenset[Name], d: int, left_attacks: bool) -> bool:
-        for _, _, pairs in self._late(t, u, names, avoid):
-            if all(_holds(self.eq, a, b, d - 1, left_attacks)
-                   for a, b in pairs):
-                return True
-        return False
+        return any(all(_holds(self.eq, a, b, d - t.steps, left_attacks)
+                       for a, b in pairs)
+                   for _, _, pairs in self._late(t, u, names, avoid))
+
+
+class _StepGame(_LateGame):
+    relation = "step"
+    _key = staticmethod(_label_key)
+
+    def _moves(self, p: Process, q: Process, d: int) -> tuple[list, list]:
+        pq_names = all_names(p) | all_names(q)
+        return tuple([_Move(t.label, t.target)
+                      for t in transitions(r, self.env, avoid=pq_names)]
+                     for r in (p, q))
+
+    @staticmethod
+    def _pairings(t: _Move, u: _Move) -> Iterator[dict[Name, Name]]:
+        return class_bijections(t.label, u.label)
 
     def explain(self, p: Process, q: Process, depth: int) -> dict:
         for dd in range(1, depth + 1):
@@ -187,7 +220,7 @@ class _StepGame:
         return {"steps": []}
 
     def _trace(self, p: Process, q: Process, d: int, path: list) -> list:
-        tp, tq, names, avoid = self._state(p, q)
+        tp, tq, names, avoid = self._state(p, q, d)
         for attackers, defenders, side, flag in (
                 (tp, tq, "left", True), (tq, tp, "right", False)):
             groups = _by_key(defenders, _label_key)
@@ -214,17 +247,10 @@ class _StepGame:
 
 def check_step(p: Process, q: Process, env: Environment = EMPTY_ENV,
                depth: int = DEFAULT_DEPTH, *,
-               budget: int = DEFAULT_GAME_BUDGET) -> RelationVerdict:
+               budget: int = DEFAULT_STATE_BUDGET) -> RelationVerdict:
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    game = _StepGame(env, _Budget(budget))
-    equivalent = game.eq(p, q, depth)
-    verdict = RelationVerdict("step", equivalent, depth, _is_exact(p, q, depth))
-    if equivalent:
-        verdict.witness = _pair_witness(game.memo)
-    else:
-        verdict.distinguisher = game.explain(p, q, depth)
-    return verdict
+    return _StepGame(env, _Budget(budget)).verdict(p, q, depth)
 
 
 def _pair_witness(memo: dict[tuple, bool], cap: int = 200) -> list:
@@ -241,46 +267,34 @@ def _pair_witness(memo: dict[tuple, bool], cap: int = 200) -> list:
     return pairs
 
 
-# --------------------------------------------------------------------------
-# Strong pomset bisimilarity
-# --------------------------------------------------------------------------
+class _PomsetGame(_LateGame):
+    relation = "pomset"
 
-class _PomsetGame:
+    @staticmethod
+    def _key(move: _Move) -> tuple:
+        """Event count and sorted abstract labels, which isomorphisms keep."""
+        return len(move.label), tuple(sorted([abstract_action(a)
+                                              for a in move.label]))
+
     def __init__(self, env: Environment, max_pomset: int,
                  budget: _Budget) -> None:
-        self.env = env
+        super().__init__(env, budget)
         self.max_pomset = max_pomset
-        self.budget = budget
-        self.memo: dict[tuple, bool] = {}
 
-    def eq(self, p: Process, q: Process, d: int) -> bool:
-        if d <= 0:
-            return True
-        key = (canonical(p), canonical(q), d)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.budget.tick()
-        ps = self._pomsets(p, all_names(q), d)
-        qs = self._pomsets(q, all_names(p), d)
-        names, avoid = _tests(p, q, self.env)
-        result = (
-            _covers(ps, qs, _pomset_key,
-                    lambda a, b: self._match(a, b, names, avoid, d, True))
-            and _covers(qs, ps, _pomset_key,
-                        lambda a, b: self._match(a, b, names, avoid, d,
-                                                 False)))
-        self.memo[key] = result
-        return result
+    def _moves(self, p: Process, q: Process, d: int) -> tuple[list, list]:
+        return (self._pomsets(p, all_names(q), d),
+                self._pomsets(q, all_names(p), d))
 
     def _pomsets(self, p: Process, avoid: frozenset[Name],
-                 d: int) -> list[tuple[PomsetTransition, Process]]:
+                 d: int) -> list[_Move]:
         layers = min(d, self.max_pomset)
         u = unfold(p, self.env, layers, avoid=avoid, budget=self.budget.limit)
-        out = []
-        for x in pomset_transitions(u, frozenset(), self.max_pomset):
-            out.append((x, u.nodes[x.target].plain))
-        return out
+        return [_Move(x.actions, u.nodes[x.target].plain, x.steps, x)
+                for x in pomset_transitions(u, frozenset(), self.max_pomset)]
+
+    @staticmethod
+    def _pairings(t: _Move, u: _Move) -> Iterator[dict[Name, Name]]:
+        return (rho for _, rho in pomset_isos(t.pomset, u.pomset))
 
     def explain(self, p: Process, q: Process, depth: int) -> dict:
         """Smallest unmatched pomset at the first depth that separates."""
@@ -288,56 +302,28 @@ class _PomsetGame:
         for dd in range(1, depth + 1):
             if self.eq(p, q, dd):
                 continue
-            for side, a, b in (("left", p, q), ("right", q, p)):
-                attackers = self._pomsets(a, all_names(b), dd)
-                defenders = self._pomsets(b, all_names(a), dd)
+            ps, qs = self._moves(p, q, dd)
+            for side, attackers, defenders in (("left", ps, qs),
+                                               ("right", qs, ps)):
                 flag = side == "left"
-                groups = _by_key(defenders, _pomset_key)
-                for att in sorted(attackers, key=lambda it: len(it[0].events)):
+                groups = _by_key(defenders, self._key)
+                for att in sorted(attackers, key=lambda m: len(m.label)):
                     if not any(self._match(att, dfn, names, avoid, dd, flag)
-                               for dfn in groups.get(_pomset_key(att), ())):
-                        x1 = att[0]
+                               for dfn in groups.get(self._key(att), ())):
                         return {"side": side,
-                                "pomset": [str(ac) for ac in x1.actions],
-                                "ordered_pairs": sorted(x1.order)}
+                                "pomset": [str(ac) for ac in att.label],
+                                "ordered_pairs": sorted(att.pomset.order)}
             break
         return {"note": "no matching pomset transition"}
-
-    def _match(self, att: tuple[PomsetTransition, Process],
-               dfn: tuple[PomsetTransition, Process], names: Sequence[Name],
-               avoid: frozenset[Name], d: int, left_attacks: bool) -> bool:
-        (x1, tgt1), (x2, tgt2) = att, dfn
-        avoid = avoid | all_names(tgt1) | all_names(tgt2)
-        rest = d - x1.steps
-        return any(
-            all(_holds(self.eq, a, b, rest, left_attacks) for a, b in pairs)
-            for _, _, pairs in late_instances(
-                x1.actions, (rho for _, rho in pomset_isos(x1, x2)), tgt1,
-                tgt2, avoid, names, substitute))
-
-
-def _pomset_key(item: tuple[PomsetTransition, Process]) -> tuple:
-    """Event count and sorted abstract labels: what an isomorphism keeps."""
-    x = item[0]
-    return len(x.events), tuple(sorted([abstract_action(a)
-                                        for a in x.actions]))
 
 
 def check_pomset(p: Process, q: Process, env: Environment = EMPTY_ENV,
                  depth: int = DEFAULT_DEPTH,
                  max_pomset: int = DEFAULT_MAX_POMSET, *,
-                 budget: int = DEFAULT_GAME_BUDGET) -> RelationVerdict:
+                 budget: int = DEFAULT_STATE_BUDGET) -> RelationVerdict:
     if depth < 1 or max_pomset < 1:
         raise ValueError("depth and max_pomset must be at least 1")
-    game = _PomsetGame(env, max_pomset, _Budget(budget))
-    equivalent = game.eq(p, q, depth)
-    verdict = RelationVerdict("pomset", equivalent, depth,
-                              _is_exact(p, q, depth))
-    if equivalent:
-        verdict.witness = _pair_witness(game.memo)
-    else:
-        verdict.distinguisher = game.explain(p, q, depth)
-    return verdict
+    return _PomsetGame(env, max_pomset, _Budget(budget)).verdict(p, q, depth)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +334,6 @@ def check_pomset(p: Process, q: Process, env: Environment = EMPTY_ENV,
 class _GameEdge:
     label: tuple[Action, ...]
     causes: tuple[frozenset[int], ...]
-    eids: tuple[int, ...]
     target: ATerm
 
 
@@ -357,57 +342,50 @@ class _HpGame:
         self.env = env
         self.budget = budget
         self.memo: dict[tuple, bool] = {}
-        self.witness: dict[tuple, list] = {}
+        self.witness: dict[tuple, None] = {}
 
     def check(self, p: Process, q: Process, depth: int) -> bool:
-        alloc1, alloc2 = Alloc(), Alloc()
         base = all_names(p) | all_names(q) | self.env.names()
-        return self.go({}, {}, (), annotate(p, alloc1), annotate(q, alloc2),
-                       depth, frozenset(base))
+        return self.go((), annotate(p, Alloc()), annotate(q, Alloc()), depth,
+                       frozenset(base))
 
-    def go(self, c1: dict[int, frozenset[int]], c2: dict[int, frozenset[int]],
-           f: tuple[tuple[int, int], ...], ap1: ATerm, ap2: ATerm, d: int,
-           base: frozenset[Name]) -> bool:
+    def go(self, f: tuple[tuple[int, int], ...], ap1: ATerm, ap2: ATerm,
+           d: int, base: frozenset[Name]) -> bool:
+        """The triple (domain of `f`, `f`, range of `f`); the prefixes of
+        `ap1` and `ap2` name their causes among f's events."""
         if d <= 0:
             return True
         # The annotated residuals themselves go into the key: erased forms
         # would conflate states whose prefixes are wired to different
         # history events, and a verdict for one wiring can poison another.
-        key = (tuple(sorted(c1.items())), tuple(sorted(c2.items())), f,
-               ap1, ap2, d)
+        key = (f, ap1, ap2, d)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         self.budget.tick()
         avoid = base | anames(ap1) | anames(ap2)
-        e1s = self._edges(ap1, avoid, len(c1))
-        e2s = self._edges(ap2, avoid, len(c2))
+        e1s = self._edges(ap1, avoid, len(f))
+        e2s = self._edges(ap2, avoid, len(f))
         names = instance_names(erase(ap1), erase(ap2), self.env)
         ok = (_covers(e1s, e2s, _label_key,
-                      lambda e1, e2: self._try(e1, e2, c1, c2, f, d, base,
-                                               names))
+                      lambda e1, e2: self._try(e1, e2, f, d, base, names))
               and _covers(e2s, e1s, _label_key,
-                          lambda e2, e1: self._try(e1, e2, c1, c2, f, d, base,
-                                                   names)))
+                          lambda e2, e1: self._try(e1, e2, f, d, base, names)))
         self.memo[key] = ok
         if ok and len(self.witness) < 200:
-            self.witness.setdefault((tuple(sorted(c1)), f, tuple(sorted(c2))),
-                                    [sorted(c1), list(f), sorted(c2)])
+            self.witness.setdefault(f)
         return ok
 
     def _edges(self, ap: ATerm, avoid: frozenset[Name],
                next_id: int) -> list[_GameEdge]:
-        alloc = Alloc()
         out = []
         seen = set()
-        for fires, target in raw_steps(ap, self.env, alloc,
-                                       DEFAULT_GUARD_DEPTH):
+        for fires, target in raw_steps(ap, self.env, Alloc()):
             ofires, atarget = finalize(fires, target, avoid)
             provmap = {fr.ev: next_id + i for i, fr in enumerate(ofires)}
             edge = _GameEdge(
                 tuple(fr.action for fr in ofires),
                 tuple(fr.causes for fr in ofires),
-                tuple(provmap[fr.ev] for fr in ofires),
                 amap(atarget, relabel(provmap)),
             )
             k = (edge.label, edge.causes, canonical(erase(edge.target)))
@@ -416,11 +394,12 @@ class _HpGame:
                 out.append(edge)
         return out
 
-    def _try(self, e1: _GameEdge, e2: _GameEdge, c1, c2, f, d, base,
+    def _try(self, e1: _GameEdge, e2: _GameEdge, f, d, base,
              names: Sequence[Name]) -> bool:
         """Can the left edge `e1` and the right edge `e2` answer each other,
         inputs instantiated with the state's test `names`?"""
         fmap = dict(f)
+        n = len(f)
         avoid = base.union(names, anames(e1.target), anames(e2.target))
         for sub1, sub2, pairs in late_instances(
                 e1.label, class_bijections(e1.label, e2.label),
@@ -431,15 +410,8 @@ class _HpGame:
                 if not self._order_ok(e1, e2, g, fmap):
                     continue
                 f2 = tuple(sorted(fmap.items() | {
-                    (e1.eids[i], e2.eids[j]) for i, j in g.items()}))
-                nc1 = dict(c1)
-                nc2 = dict(c2)
-                for i, eid in enumerate(e1.eids):
-                    nc1[eid] = e1.causes[i]
-                for j, eid in enumerate(e2.eids):
-                    nc2[eid] = e2.causes[j]
-                if all(self.go(nc1, nc2, f2, a, b, d - 1, base)
-                       for a, b in pairs):
+                    (n + i, n + j) for i, j in g.items()}))
+                if all(self.go(f2, a, b, d - 1, base) for a, b in pairs):
                     return True
         return False
 
@@ -474,16 +446,21 @@ def _position_bijections(acts1: Sequence[Action],
         yield g
 
 
+def _triple_json(f: tuple[tuple[int, int], ...]) -> list:
+    """The posetal triple of a sorted event pairing: domain, `f`, range."""
+    return [[a for a, _ in f], list(f), sorted(b for _, b in f)]
+
+
 def check_hp(p: Process, q: Process, env: Environment = EMPTY_ENV,
              depth: int = DEFAULT_DEPTH, *,
-             budget: int = DEFAULT_GAME_BUDGET) -> RelationVerdict:
+             budget: int = DEFAULT_STATE_BUDGET) -> RelationVerdict:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     game = _HpGame(env, _Budget(budget))
     equivalent = game.check(p, q, depth)
     verdict = RelationVerdict("hp", equivalent, depth, _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = list(game.witness.values())
+        verdict.witness = [_triple_json(f) for f in game.witness]
     else:
         step = _StepGame(env, _Budget(budget))
         verdict.distinguisher = {
@@ -586,7 +563,7 @@ def _hhp_live(pes1: _Pes, pes2: _Pes, budget: _Budget) -> set[_Triple]:
 
 def check_hhp(p: Process, q: Process, env: Environment = EMPTY_ENV,
               depth: int = DEFAULT_DEPTH, *,
-              budget: int = DEFAULT_GAME_BUDGET) -> RelationVerdict:
+              budget: int = DEFAULT_STATE_BUDGET) -> RelationVerdict:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     guard = _Budget(budget)
@@ -597,9 +574,7 @@ def check_hhp(p: Process, q: Process, env: Environment = EMPTY_ENV,
     equivalent = (0, 0, ()) in live
     verdict = RelationVerdict("hhp", equivalent, depth, _is_exact(p, q, depth))
     if equivalent:
-        verdict.witness = [
-            [[a for a, _ in f], list(f), sorted(b for _, b in f)]
-            for _, _, f in sorted(live)[:200]]
+        verdict.witness = [_triple_json(f) for _, _, f in sorted(live)[:200]]
     else:
         verdict.distinguisher = {
             "note": "no downward closed hp-bisimulation contains the empty triple"}
@@ -621,7 +596,7 @@ CHECKERS = {
 def check(relation: str, p: Process, q: Process,
           env: Environment = EMPTY_ENV, depth: int = DEFAULT_DEPTH,
           max_pomset: int = DEFAULT_MAX_POMSET, *,
-          budget: int = DEFAULT_GAME_BUDGET) -> RelationVerdict:
+          budget: int = DEFAULT_STATE_BUDGET) -> RelationVerdict:
     if relation == "pomset":
         return check_pomset(p, q, env, depth, max_pomset, budget=budget)
     fn = CHECKERS.get(relation)

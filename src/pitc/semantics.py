@@ -333,7 +333,7 @@ def communicating(a: Action, b: Action) -> bool:
 
 
 def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
-              fuel: int) -> list[RawTransition]:
+              fuel: int = DEFAULT_GUARD_DEPTH) -> list[RawTransition]:
     if isinstance(ap, ANil):
         return []
     if isinstance(ap, ATau):
@@ -723,10 +723,6 @@ def late_instances(label: Sequence[Action],
         yield sub1, sub2, LateInstances(left2, right2, inputs, tests, subst)
 
 
-def format_action(a: Action) -> str:
-    return str(a)
-
-
 def format_label(label: Sequence[Action]) -> str:
     return "{" + ", ".join(str(a) for a in label) + "}"
 
@@ -754,20 +750,19 @@ def clear_caches() -> None:
 
 
 def transitions(p: Process, env: Environment = EMPTY_ENV, *,
-                avoid: Iterable[Name] = (),
-                guard_depth: int = DEFAULT_GUARD_DEPTH) -> tuple[Transition, ...]:
+                avoid: Iterable[Name] = ()) -> tuple[Transition, ...]:
     """All derivable steps of `p`, one canonical representative per alpha
     class of labels.  Placeholders are drawn from the deterministic fresh
     sequence, avoiding every name of `p`, of the environment, and of
     `avoid`."""
     base_avoid = shared_names(all_names(p) | env.names() | frozenset(avoid))
-    key = (p, env.key, base_avoid, guard_depth)
+    key = (p, env.key, base_avoid)
     hit = _TRANS_CACHE.get(key)
     if hit is not None:
         return hit
     alloc = Alloc()
     ap = annotate(p, alloc)
-    raws = raw_steps(ap, env, alloc, guard_depth)
+    raws = raw_steps(ap, env, alloc)
     seen: dict[tuple, Transition] = {}
     for fires, target in raws:
         ofires, atarget = finalize(fires, target, base_avoid)

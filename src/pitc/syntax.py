@@ -111,10 +111,6 @@ def action_names(a: Action) -> frozenset[Name]:
     return action_free_names(a) | action_bound_names(a)
 
 
-def action_subject(a: Action) -> Optional[Name]:
-    return None if isinstance(a, Tau) else a.subject
-
-
 def rename_action(a: Action, sub: Mapping[Name, Name]) -> Action:
     """Apply a plain name map to every name slot, placeholders included."""
     if isinstance(a, Tau):

@@ -19,8 +19,8 @@ from .syntax import (
     all_names, alpha_eq,
 )
 from .semantics import (
-    Alloc, ATerm, DEFAULT_GUARD_DEPTH, amap, annotate, erase, finalize,
-    label_bound_names, raw_steps, relabel,
+    Alloc, ATerm, amap, annotate, erase, finalize, label_bound_names,
+    raw_steps, relabel,
 )
 from .parser import format_process
 
@@ -117,12 +117,6 @@ class UnfoldedLTS:
     def concurrent(self, e1: int, e2: int) -> bool:
         return (e1 != e2 and not self.leq(e1, e2) and not self.leq(e2, e1)
                 and self.consistent(e1, e2))
-
-    def is_configuration(self, events: Iterable[int]) -> bool:
-        s = frozenset(events)
-        if not all(self.events[e].causes <= s for e in s):
-            return False
-        return any(s <= c for c in self.nodes)
 
     def pes_configs(self) -> list[Config]:
         """All downward-closed sub-histories of reached configurations."""
@@ -225,8 +219,7 @@ class UnfoldedLTS:
 
 def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
            budget: int = DEFAULT_STATE_BUDGET,
-           avoid: Iterable[Name] = (),
-           guard_depth: int = DEFAULT_GUARD_DEPTH) -> UnfoldedLTS:
+           avoid: Iterable[Name] = ()) -> UnfoldedLTS:
     """Breadth-first unfolding of step transitions to `depth` layers."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -241,7 +234,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
         for cfg in frontier:
             node = u.nodes[cfg]
             node.expanded = True
-            raws = raw_steps(node.residual, env, alloc, guard_depth)
+            raws = raw_steps(node.residual, env, alloc)
             edge_avoid = base_avoid | all_names(node.plain)
             seen_edges: set[tuple] = set()
             for fires, target in raws:
@@ -281,7 +274,6 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
                         "one configuration reached with two residuals")
         frontier = nxt
         if not frontier:
-            u.exhaustive = True
             break
     if not frontier:
         u.exhaustive = True

@@ -116,6 +116,13 @@ class TestCheck:
                       "--depth", "0")
         assert code == 2
 
+    def test_zero_max_pomset_usage(self, capsys):
+        code = main(["check", "--rel", "pomset", "a!b.0", "a!b.0",
+                     "--max-pomset", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --max-pomset must be at least 1\n")
+
     def test_budget_env_var_is_exit_three(self, capsys, monkeypatch):
         monkeypatch.setenv("PITC_STATE_BUDGET", "2")
         code, _ = run(capsys, "check", "--rel", "step",
@@ -180,6 +187,36 @@ class TestUnfold:
         monkeypatch.setenv("PITC_STATE_BUDGET", "1")
         code, _ = run(capsys, "unfold", "a!u.0 + b!v.0", "--depth", "1")
         assert code == 3
+
+
+def _unreadable(tmp_path, kind: str) -> str:
+    """A path the CLI cannot read as text."""
+    if kind == "missing":
+        return str(tmp_path / "missing.pitc")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "binary.pitc"
+    path.write_bytes(b"P = a!b.0\n\xc0\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("argv", [
+    ("parse", "--file", "{}"),
+    ("parse", "a!b.0", "--env", "{}"),
+    ("step", "a!b.0", "--env", "{}"),
+    ("check", "a!b.0", "a!b.0", "--env", "{}"),
+    ("prove", "a!b.0", "a!b.0", "--env", "{}"),
+    ("unfold", "a!b.0", "--env", "{}"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_unreadable_file_is_usage_error(capsys, tmp_path, kind, argv):
+    path = _unreadable(tmp_path, kind)
+    code = main([arg.format(path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read {path}: ")
 
 
 def test_prove_implies_step_check(capsys):

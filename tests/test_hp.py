@@ -36,8 +36,8 @@ class ResidualNamesHp(_HpGame):
     """hp with the old rule: each edge pair takes its test names from its
     two residuals."""
 
-    def _try(self, e1, e2, c1, c2, f, d, base, names):
-        return super()._try(e1, e2, c1, c2, f, d, base, instance_names(
+    def _try(self, e1, e2, f, d, base, names):
+        return super()._try(e1, e2, f, d, base, instance_names(
             erase(e1.target), erase(e2.target), self.env))
 
 
