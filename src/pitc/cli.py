@@ -45,7 +45,7 @@ def _budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"PITC_STATE_BUDGET must be an integer, got {raw!r}", 0, 0)
+        raise PitcError(f"PITC_STATE_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:

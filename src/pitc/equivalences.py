@@ -35,16 +35,16 @@ from .errors import StateBudgetExceeded
 from .parser import format_process
 from .syntax import (
     EMPTY_ENV, Action, Environment, Name, Process, all_names, canonical,
-    has_call, prefix_height, substitute,
+    prefix_height, substitute,
 )
 from .semantics import (
-    Alloc, ATerm, LateInstances, amap, anames, annotate, asubst,
+    Alloc, ATerm, LateInstances, abstract_action, amap, annotate, asubst,
     class_bijections, erase, finalize, format_label, instance_names,
     label_key, late_instances, raw_steps, relabel, rename_action, transitions,
 )
 from .unfolding import (
-    DEFAULT_STATE_BUDGET, PomsetTransition, UnfoldedLTS, abstract_action,
-    pomset_isos, pomset_transitions, unfold,
+    DEFAULT_STATE_BUDGET, PomsetTransition, UnfoldedLTS, pomset_isos,
+    pomset_transitions, unfold,
 )
 
 DEFAULT_DEPTH = 8
@@ -75,8 +75,6 @@ class RelationVerdict:
 
 
 def _is_exact(p: Process, q: Process, depth: int) -> bool:
-    if has_call(p) or has_call(q):
-        return False
     hp = prefix_height(p)
     hq = prefix_height(q)
     return hp is not None and hq is not None and depth >= max(hp, hq)
@@ -363,10 +361,11 @@ class _HpGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        avoid = base | anames(ap1) | anames(ap2)
+        p1, p2 = erase(ap1), erase(ap2)
+        avoid = base | all_names(p1) | all_names(p2)
         e1s = self._edges(ap1, avoid, len(f))
         e2s = self._edges(ap2, avoid, len(f))
-        names = instance_names(erase(ap1), erase(ap2), self.env)
+        names = instance_names(p1, p2, self.env)
         ok = (_covers(e1s, e2s, _label_key,
                       lambda e1, e2: self._try(e1, e2, f, d, base, names))
               and _covers(e2s, e1s, _label_key,
@@ -400,7 +399,8 @@ class _HpGame:
         inputs instantiated with the state's test `names`?"""
         fmap = dict(f)
         n = len(f)
-        avoid = base.union(names, anames(e1.target), anames(e2.target))
+        avoid = base.union(names, all_names(erase(e1.target)),
+                           all_names(erase(e2.target)))
         for sub1, sub2, pairs in late_instances(
                 e1.label, class_bijections(e1.label, e2.label),
                 e1.target, e2.target, avoid, names, asubst):

@@ -285,9 +285,7 @@ class Prover:
         return None
 
     def _par_redex(self, t: Par, path):
-        ls = self.summands_of(t.left)
-        rs = self.summands_of(t.right)
-        after = _distinct_sum(self._joined_encs(ls, rs, t.left, t.right))
+        after = _distinct_sum([s.enc for s in self.summands_of(t)])
         if alpha_eq(after, t):
             return None
         return ("E", path, t, after)
@@ -334,10 +332,10 @@ class Prover:
         if isinstance(t, (TauPrefix, OutputPrefix, InputPrefix)):
             return (self._canon_summand((_head_action(t),), t.cont, t),)
         if isinstance(t, Sum):
-            return self._summands(t.left) + self._summands(t.right)
+            return self.summands_of(t.left) + self.summands_of(t.right)
         if isinstance(t, Restriction):
             out: list[Summand] = []
-            for s in self._summands(t.body):
+            for s in self.summands_of(t.body):
                 if t.binder not in _prefix_names(s.prefixes):
                     out.append(self._canon_summand(
                         s.prefixes, Restriction(t.binder, s.cont),
@@ -352,8 +350,8 @@ class Prover:
                         Restriction(t.binder, s.enc)))
             return tuple(out)
         if isinstance(t, Par):
-            ls = self._summands(t.left)
-            rs = self._summands(t.right)
+            ls = self.summands_of(t.left)
+            rs = self.summands_of(t.right)
             if not ls and not rs:
                 return ()
             if not rs:
@@ -423,16 +421,6 @@ class Prover:
                                _direct_enc(cand.prefixes[0], cand.cont))
             out.append(cand)
         return out
-
-    def _joined_encs(self, ls, rs, lproc: Process, rproc: Process) -> list[Process]:
-        if not ls and not rs:
-            return []
-        if not rs:
-            return [Par(s.enc, rproc) for s in ls]
-        if not ls:
-            return [Par(lproc, s.enc) for s in rs]
-        return [s.enc for sl in ls for sr in rs
-                for s in self._join_summands(sl, sr)]
 
     # -- equality -----------------------------------------------------------
 
@@ -571,8 +559,7 @@ def expand(p: Process, env: Environment = EMPTY_ENV, *,
     _require_guarded(p, env)
     nl, _ = prover.normalize(p.left)
     nr, _ = prover.normalize(p.right)
-    return _distinct_sum(prover._joined_encs(
-        prover.summands_of(nl), prover.summands_of(nr), nl, nr))
+    return _distinct_sum([s.enc for s in prover.summands_of(Par(nl, nr))])
 
 
 def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV, *,

@@ -3,6 +3,9 @@
 The transition relation is computed on *annotated* terms: every prefix
 carries the set of events that fired strictly above it, so the unfolding
 module can recover causality.  Plain `transitions` erases the annotations.
+Annotated terms take substitution and name sets from their erasure:
+`asubst` substitutes with `syntax.substitute` and puts the annotations
+back, so only `syntax` renames binders.
 
 Step discipline: a parallel component may idle only when it has no
 transition at all, so components that can act must act together, either
@@ -15,7 +18,7 @@ is expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import (
     Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
@@ -26,7 +29,7 @@ from .syntax import (
     EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
     Sum, TauPrefix, Tau, action_names, all_names, canonical, free_names,
-    fresh_name, fresh_names, rename_action, shared_names,
+    fresh_name, fresh_names, rename_action, shared_names, substitute,
 )
 
 DEFAULT_GUARD_DEPTH = 64
@@ -163,10 +166,6 @@ def erase(ap: ATerm) -> Process:
     raise TypeError(f"not an annotated term: {ap!r}")
 
 
-def anames(ap: ATerm) -> frozenset[Name]:
-    return frozenset(_anames_in_order(ap))
-
-
 def _anames_in_order(ap: ATerm, out: Optional[dict[Name, None]] = None
                      ) -> dict[Name, None]:
     """Every name of `ap`, binders included, in first-occurrence preorder."""
@@ -191,68 +190,37 @@ def _anames_in_order(ap: ATerm, out: Optional[dict[Name, None]] = None
     return out
 
 
-def afree(ap: ATerm) -> frozenset[Name]:
-    if isinstance(ap, ANil):
-        return frozenset()
-    if isinstance(ap, ATau):
-        return afree(ap.cont)
-    if isinstance(ap, AOut):
-        return afree(ap.cont) | {ap.subject, ap.object}
-    if isinstance(ap, AIn):
-        return (afree(ap.cont) - {ap.binder}) | {ap.subject}
-    if isinstance(ap, ARes):
-        return afree(ap.body) - {ap.binder}
-    if isinstance(ap, (ASum, APar)):
-        return afree(ap.left) | afree(ap.right)
-    if isinstance(ap, ACall):
-        return frozenset(ap.args)
-    raise TypeError(f"not an annotated term: {ap!r}")
-
-
 def asubst(ap: ATerm, sub: Mapping[Name, Name]) -> ATerm:
-    """Capture-avoiding substitution on annotated terms."""
-    live = {k: v for k, v in sub.items() if k != v}
-    if not live:
+    """Capture-avoiding substitution on annotated terms: `syntax.substitute`
+    on the erasure, with `ap`'s guards and uids put back."""
+    if not sub:
         return ap
-    return _asubst(ap, live)
+    old = erase(ap)
+    return _zip(ap, old, substitute(old, sub))
 
 
-def _asubst(ap: ATerm, sub: dict[Name, Name]) -> ATerm:
-    if isinstance(ap, ANil):
+def _zip(ap: ATerm, old: Process, new: Process) -> ATerm:
+    """`ap` with the names of `new`, where `old` is `ap`'s erasure and `new`
+    has its shape.  Nodes are hash-consed, so a subtree whose erasure the
+    substitution left alone is kept as it is."""
+    if new is old:
         return ap
     if isinstance(ap, ATau):
-        return replace(ap, cont=_asubst(ap.cont, sub))
+        return ATau(ap.guards, ap.uid, _zip(ap.cont, old.cont, new.cont))
     if isinstance(ap, AOut):
-        return replace(ap, subject=sub.get(ap.subject, ap.subject),
-                       object=sub.get(ap.object, ap.object),
-                       cont=_asubst(ap.cont, sub))
+        return AOut(ap.guards, ap.uid, new.subject, new.object,
+                    _zip(ap.cont, old.cont, new.cont))
     if isinstance(ap, AIn):
-        binder, cont = _abinder(ap.binder, ap.cont, sub)
-        return replace(ap, subject=sub.get(ap.subject, ap.subject),
-                       binder=binder, cont=cont)
+        return AIn(ap.guards, ap.uid, new.subject, new.binder,
+                   _zip(ap.cont, old.cont, new.cont))
     if isinstance(ap, ARes):
-        binder, body = _abinder(ap.binder, ap.body, sub)
-        return ARes(binder, body)
-    if isinstance(ap, ASum):
-        return ASum(_asubst(ap.left, sub), _asubst(ap.right, sub))
-    if isinstance(ap, APar):
-        return APar(_asubst(ap.left, sub), _asubst(ap.right, sub))
+        return ARes(new.binder, _zip(ap.body, old.body, new.body))
+    if isinstance(ap, (ASum, APar)):
+        return type(ap)(_zip(ap.left, old.left, new.left),
+                        _zip(ap.right, old.right, new.right))
     if isinstance(ap, ACall):
-        return replace(ap, args=tuple(sub.get(a, a) for a in ap.args))
+        return ACall(ap.guards, ap.uid, ap.ident, new.args)
     raise TypeError(f"not an annotated term: {ap!r}")
-
-
-def _abinder(binder: Name, scope: ATerm,
-             sub: dict[Name, Name]) -> tuple[Name, ATerm]:
-    relevant = {k: v for k, v in sub.items() if k != binder and k in afree(scope)}
-    if not relevant:
-        return binder, scope
-    if binder in relevant.values():
-        avoid = anames(scope) | set(relevant) | set(relevant.values()) | {binder}
-        newb = fresh_name(avoid)
-        scope = _asubst(scope, {binder: newb})
-        binder = newb
-    return binder, _asubst(scope, relevant)
 
 
 GuardMap = Callable[[frozenset[EventRef]], frozenset[EventRef]]
@@ -394,37 +362,19 @@ def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
     raise TypeError(f"not an annotated term: {ap!r}")
 
 
-def _matchings(cands: Sequence[tuple[int, int]]) -> Iterator[frozenset[tuple[int, int]]]:
-    """All partial matchings over candidate index pairs, empty included."""
-
-    def go(k: int, used_x: frozenset[int], used_y: frozenset[int],
-           acc: frozenset[tuple[int, int]]) -> Iterator[frozenset[tuple[int, int]]]:
-        if k == len(cands):
-            yield acc
-            return
-        i, j = cands[k]
-        yield from go(k + 1, used_x, used_y, acc)
-        if i not in used_x and j not in used_y:
-            yield from go(k + 1, used_x | {i}, used_y | {j}, acc | {(i, j)})
-
-    yield from go(0, frozenset(), frozenset(), frozenset())
-
-
-def _class_matchings(xs: Sequence[Name], ys: Sequence[Name]
-                     ) -> Iterator[tuple[tuple[Name, Name], ...]]:
-    """All injective partial pairings between two token-class lists."""
-
-    def go(k: int, used: frozenset[Name],
-           acc: tuple[tuple[Name, Name], ...]) -> Iterator[tuple[tuple[Name, Name], ...]]:
-        if k == len(xs):
-            yield acc
-            return
-        yield from go(k + 1, used, acc)
-        for y in ys:
-            if y not in used:
-                yield from go(k + 1, used | {y}, acc + ((xs[k], y),))
-
-    yield from go(0, frozenset(), ())
+def _matchings(cands: Sequence[tuple], k: int = 0,
+               used_x: frozenset = frozenset(), used_y: frozenset = frozenset(),
+               acc: tuple = ()) -> Iterator[tuple]:
+    """All partial matchings over the candidate pairs from `k` on, empty
+    included, each a tuple in candidate order."""
+    if k == len(cands):
+        yield acc
+        return
+    x, y = cands[k]
+    yield from _matchings(cands, k + 1, used_x, used_y, acc)
+    if x not in used_x and y not in used_y:
+        yield from _matchings(cands, k + 1, used_x | {x}, used_y | {y},
+                              acc + ((x, y),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,8 +441,11 @@ def join_plans(ax: Sequence[Action], tx: Sequence[Optional[Name]],
             continue
         xcls = _input_class_toks(ax, tx, rest_x)
         ycls = _input_class_toks(ay, ty, rest_y)
-        for sharing in _class_matchings(xcls, ycls):
-            plans.append(JoinPlan(tuple(sorted(m)), rest_x, rest_y, sharing))
+        # A candidate is skipped before it is taken, so each x lists its
+        # partners in reverse to be paired with them in list order.
+        pairs = [(x, y) for x in xcls for y in reversed(ycls)]
+        for sharing in _matchings(pairs):
+            plans.append(JoinPlan(m, rest_x, rest_y, sharing))
     return plans
 
 
@@ -555,7 +508,8 @@ def _assemble(xf: tuple[Fire, ...], xt: ATerm, yf: tuple[Fire, ...], yt: ATerm,
 # Canonical labels
 # --------------------------------------------------------------------------
 
-def _base_key(a: Action) -> tuple:
+def abstract_action(a: Action) -> tuple:
+    """An action's class and free names, its placeholder abstracted away."""
     if isinstance(a, Tau):
         return (0, "", "")
     if isinstance(a, FreeOutput):
@@ -578,10 +532,11 @@ def canonical_order(actions: Sequence[Action]) -> tuple[tuple, tuple[int, ...]]:
     multiset (placeholders replaced by sharing-aware indices) and `order`
     lists the input positions in canonical sequence.
     """
-    indexed = sorted(range(len(actions)), key=lambda i: _base_key(actions[i]))
+    keys = [abstract_action(a) for a in actions]
+    indexed = sorted(range(len(actions)), key=keys.__getitem__)
     groups: list[list[int]] = []
     for i in indexed:
-        if groups and _base_key(actions[groups[-1][0]]) == _base_key(actions[i]):
+        if groups and keys[groups[-1][0]] == keys[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -601,7 +556,7 @@ def canonical_order(actions: Sequence[Action]) -> tuple[tuple, tuple[int, ...]]:
                 if ph not in tokidx:
                     tokidx[ph] = len(tokidx)
                 slot = tokidx[ph]
-            rendered.append(_base_key(a) + (slot,))
+            rendered.append(keys[i] + (slot,))
         cand = (tuple(rendered), order)
         if best is None or cand[0] < best[0]:
             best = cand

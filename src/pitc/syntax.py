@@ -11,23 +11,12 @@ Each node memoizes its free names, all its names and its canonical form.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import BadDefinition, UnknownIdentifier
 
 Name = str
-
-#: Identifiers accepted by the concrete syntax.
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-#: Reserved words that can never be channel or identifier names.
-RESERVED = frozenset({"tau", "nu"})
-
-
-def is_valid_name(text: str) -> bool:
-    return bool(NAME_RE.fullmatch(text)) and text not in RESERVED
 
 
 def fresh_name(avoid: Iterable[Name], prefix: str = "w") -> Name:
@@ -342,10 +331,6 @@ def prefix_height(p: Process) -> Optional[int]:
         b = prefix_height(p.right)
         return None if a is None or b is None else max(a, b)
     return None  # Call
-
-
-def has_call(p: Process) -> bool:
-    return any(isinstance(t, Call) for t in subterms(p))
 
 
 # --------------------------------------------------------------------------

@@ -15,29 +15,18 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import InternalError, StateBudgetExceeded
 from .syntax import (
-    EMPTY_ENV, Action, Environment, FreeOutput, Input, Name, Process, Tau,
+    EMPTY_ENV, Action, Environment, FreeOutput, Name, Process, Tau,
     all_names, alpha_eq,
 )
 from .semantics import (
-    Alloc, ATerm, amap, annotate, erase, finalize, label_bound_names,
-    raw_steps, relabel,
+    Alloc, ATerm, abstract_action, amap, annotate, erase, finalize,
+    label_bound_names, raw_steps, relabel,
 )
 from .parser import format_process
 
 DEFAULT_STATE_BUDGET = 100_000
 
 Config = frozenset[int]
-
-
-def abstract_action(a: Action) -> tuple:
-    """Event label with the bound placeholder abstracted away."""
-    if isinstance(a, Tau):
-        return ("tau",)
-    if isinstance(a, FreeOutput):
-        return ("out", a.subject, a.object)
-    if isinstance(a, Input):
-        return ("in", a.subject)
-    return ("bout", a.subject)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +46,6 @@ class StepEdge:
     events: tuple[int, ...]
     actions: tuple[Action, ...]
     target: Config
-
-    @property
-    def event_set(self) -> Config:
-        return frozenset(self.events)
 
 
 @dataclass
@@ -99,9 +84,6 @@ class UnfoldedLTS:
         self.exhaustive = False
 
     # -- event structure view -------------------------------------------
-
-    def causes(self, eid: int) -> frozenset[int]:
-        return self.events[eid].causes
 
     def leq(self, e1: int, e2: int) -> bool:
         return e1 == e2 or e1 in self.events[e2].causes

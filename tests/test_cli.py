@@ -189,6 +189,20 @@ class TestUnfold:
         assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "a!b.0", "a!b.0"),
+    ("unfold", "a!b.0"),
+], ids=lambda argv: argv[0])
+def test_bad_budget_env_var_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PITC_STATE_BUDGET", "abc")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: PITC_STATE_BUDGET must be an integer, got 'abc'\n")
+
+
 def _unreadable(tmp_path, kind: str) -> str:
     """A path the CLI cannot read as text."""
     if kind == "missing":
