@@ -43,9 +43,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_STATE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise PitcError(f"PITC_STATE_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise PitcError(f"PITC_STATE_BUDGET must be positive, got {raw!r}")
+    return budget
 
 
 def _read(path: str) -> str:

@@ -38,9 +38,9 @@ from .syntax import (
     prefix_height, substitute,
 )
 from .semantics import (
-    Alloc, ATerm, LateInstances, abstract_action, amap, annotate, asubst,
-    class_bijections, erase, finalize, format_label, instance_names,
-    label_key, late_instances, raw_steps, relabel, rename_action, transitions,
+    Alloc, ATerm, LateInstances, abstract_action, annotate, asubst,
+    class_bijections, finalize, format_label, instance_names, label_key,
+    late_instances, raw_steps, relabel, rename_action, transitions,
 )
 from .unfolding import (
     DEFAULT_STATE_BUDGET, PomsetTransition, UnfoldedLTS, pomset_isos,
@@ -287,7 +287,7 @@ class _PomsetGame(_LateGame):
                  d: int) -> list[_Move]:
         layers = min(d, self.max_pomset)
         u = unfold(p, self.env, layers, avoid=avoid, budget=self.budget.limit)
-        return [_Move(x.actions, u.nodes[x.target].plain, x.steps, x)
+        return [_Move(x.actions, u.nodes[x.target].residual.term, x.steps, x)
                 for x in pomset_transitions(u, frozenset(), self.max_pomset)]
 
     @staticmethod
@@ -353,7 +353,7 @@ class _HpGame:
         `ap1` and `ap2` name their causes among f's events."""
         if d <= 0:
             return True
-        # The annotated residuals themselves go into the key: erased forms
+        # The annotated residuals themselves go into the key: plain terms
         # would conflate states whose prefixes are wired to different
         # history events, and a verdict for one wiring can poison another.
         key = (f, ap1, ap2, d)
@@ -361,7 +361,7 @@ class _HpGame:
         if hit is not None:
             return hit
         self.budget.tick()
-        p1, p2 = erase(ap1), erase(ap2)
+        p1, p2 = ap1.term, ap2.term
         avoid = base | all_names(p1) | all_names(p2)
         e1s = self._edges(ap1, avoid, len(f))
         e2s = self._edges(ap2, avoid, len(f))
@@ -385,9 +385,9 @@ class _HpGame:
             edge = _GameEdge(
                 tuple(fr.action for fr in ofires),
                 tuple(fr.causes for fr in ofires),
-                amap(atarget, relabel(provmap)),
+                relabel(atarget, provmap),
             )
-            k = (edge.label, edge.causes, canonical(erase(edge.target)))
+            k = (edge.label, edge.causes, canonical(edge.target.term))
             if k not in seen:
                 seen.add(k)
                 out.append(edge)
@@ -399,8 +399,8 @@ class _HpGame:
         inputs instantiated with the state's test `names`?"""
         fmap = dict(f)
         n = len(f)
-        avoid = base.union(names, all_names(erase(e1.target)),
-                           all_names(erase(e2.target)))
+        avoid = base.union(names, all_names(e1.target.term),
+                           all_names(e2.target.term))
         for sub1, sub2, pairs in late_instances(
                 e1.label, class_bijections(e1.label, e2.label),
                 e1.target, e2.target, avoid, names, asubst):

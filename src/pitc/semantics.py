@@ -1,11 +1,13 @@
 """One-step (multi-action) transition semantics.
 
-The transition relation is computed on *annotated* terms: every prefix
-carries the set of events that fired strictly above it, so the unfolding
-module can recover causality.  Plain `transitions` erases the annotations.
-Annotated terms take substitution and name sets from their erasure:
-`asubst` substitutes with `syntax.substitute` and puts the annotations
-back, so only `syntax` renames binders.
+The transition relation is computed on *annotated* terms, `ATerm`: a
+hash-consed `Process` plus, for each of its prefixes and calls in
+preorder, the set of events that fired strictly above it and its
+occurrence id, so the unfolding module can recover causality.  The
+annotations are two flat tuples beside the term: a subterm's positions
+are one slice of them, substitution keeps them as they are, and the
+plain term is the field `term`.  The residuals `raw_steps` builds are
+therefore ordinary process nodes, held by the process-wide node table.
 
 Step discipline: a parallel component may idle only when it has no
 transition at all, so components that can act must act together, either
@@ -26,10 +28,11 @@ from typing import (
 
 from .errors import UnguardedRecursion
 from .syntax import (
-    EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
+    EMPTY_ENV, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
     Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
     Sum, TauPrefix, Tau, action_names, all_names, canonical, free_names,
-    fresh_name, fresh_names, rename_action, shared_names, substitute,
+    fresh_name, fresh_names, positions, rename_action, shared_names,
+    substitute,
 )
 
 DEFAULT_GUARD_DEPTH = 64
@@ -41,65 +44,14 @@ EventRef = int  # >= 0 resolved by the unfolder, < 0 provisional within one deri
 # Annotated terms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ANil:
-    pass
+class ATerm(NamedTuple):
+    """A process whose i-th prefix or call in preorder has the guard
+    `guards[i]`, the events that fired above it, and the occurrence id
+    `uids[i]`."""
 
-
-@dataclass(frozen=True, slots=True)
-class ATau:
-    guards: frozenset[EventRef]
-    uid: int
-    cont: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class AOut:
-    guards: frozenset[EventRef]
-    uid: int
-    subject: Name
-    object: Name
-    cont: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class AIn:
-    guards: frozenset[EventRef]
-    uid: int
-    subject: Name
-    binder: Name
-    cont: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class ARes:
-    binder: Name
-    body: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class ASum:
-    left: "ATerm"
-    right: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class APar:
-    left: "ATerm"
-    right: "ATerm"
-
-
-@dataclass(frozen=True, slots=True)
-class ACall:
-    guards: frozenset[EventRef]
-    uid: int
-    ident: Name
-    args: tuple[Name, ...]
-
-
-ATerm = ANil | ATau | AOut | AIn | ARes | ASum | APar | ACall
-
-A_NIL = ANil()
+    term: Process
+    guards: tuple[frozenset[EventRef], ...]
+    uids: tuple[int, ...]
 
 
 class Alloc:
@@ -110,9 +62,10 @@ class Alloc:
         self._ev = 0
         self._tok = 0
 
-    def uid(self) -> int:
-        self._uid += 1
-        return self._uid
+    def uids(self, count: int) -> tuple[int, ...]:
+        start = self._uid
+        self._uid += count
+        return tuple(range(start + 1, self._uid + 1))
 
     def ev(self) -> EventRef:
         self._ev += 1
@@ -125,153 +78,38 @@ class Alloc:
 
 def annotate(p: Process, alloc: Alloc,
              guards: frozenset[EventRef] = frozenset()) -> ATerm:
-    if isinstance(p, Nil):
-        return A_NIL
-    if isinstance(p, TauPrefix):
-        return ATau(guards, alloc.uid(), annotate(p.cont, alloc, guards))
-    if isinstance(p, OutputPrefix):
-        return AOut(guards, alloc.uid(), p.subject, p.object,
-                    annotate(p.cont, alloc, guards))
-    if isinstance(p, InputPrefix):
-        return AIn(guards, alloc.uid(), p.subject, p.binder,
-                   annotate(p.cont, alloc, guards))
-    if isinstance(p, Restriction):
-        return ARes(p.binder, annotate(p.body, alloc, guards))
-    if isinstance(p, Sum):
-        return ASum(annotate(p.left, alloc, guards), annotate(p.right, alloc, guards))
-    if isinstance(p, Par):
-        return APar(annotate(p.left, alloc, guards), annotate(p.right, alloc, guards))
-    if isinstance(p, Call):
-        return ACall(guards, alloc.uid(), p.ident, p.args)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def erase(ap: ATerm) -> Process:
-    if isinstance(ap, ANil):
-        return NIL
-    if isinstance(ap, ATau):
-        return TauPrefix(erase(ap.cont))
-    if isinstance(ap, AOut):
-        return OutputPrefix(ap.subject, ap.object, erase(ap.cont))
-    if isinstance(ap, AIn):
-        return InputPrefix(ap.subject, ap.binder, erase(ap.cont))
-    if isinstance(ap, ARes):
-        return Restriction(ap.binder, erase(ap.body))
-    if isinstance(ap, ASum):
-        return Sum(erase(ap.left), erase(ap.right))
-    if isinstance(ap, APar):
-        return Par(erase(ap.left), erase(ap.right))
-    if isinstance(ap, ACall):
-        return Call(ap.ident, ap.args)
-    raise TypeError(f"not an annotated term: {ap!r}")
-
-
-def _anames_in_order(ap: ATerm, out: Optional[dict[Name, None]] = None
-                     ) -> dict[Name, None]:
-    """Every name of `ap`, binders included, in first-occurrence preorder."""
-    if out is None:
-        out = {}
-    if isinstance(ap, ATau):
-        _anames_in_order(ap.cont, out)
-    elif isinstance(ap, AOut):
-        out[ap.subject] = out[ap.object] = None
-        _anames_in_order(ap.cont, out)
-    elif isinstance(ap, AIn):
-        out[ap.subject] = out[ap.binder] = None
-        _anames_in_order(ap.cont, out)
-    elif isinstance(ap, ARes):
-        out[ap.binder] = None
-        _anames_in_order(ap.body, out)
-    elif isinstance(ap, (ASum, APar)):
-        _anames_in_order(ap.left, out)
-        _anames_in_order(ap.right, out)
-    elif isinstance(ap, ACall):
-        out.update(dict.fromkeys(ap.args))
-    return out
+    """`p` with fresh occurrence ids, every position guarded by `guards`."""
+    count = positions(p)
+    return ATerm(p, (guards,) * count, alloc.uids(count))
 
 
 def asubst(ap: ATerm, sub: Mapping[Name, Name]) -> ATerm:
-    """Capture-avoiding substitution on annotated terms: `syntax.substitute`
-    on the erasure, with `ap`'s guards and uids put back."""
+    """Capture-avoiding substitution on an annotated term.  Substitution
+    keeps the shape of the term, so the annotations stay as they are."""
     if not sub:
         return ap
-    old = erase(ap)
-    return _zip(ap, old, substitute(old, sub))
+    term = substitute(ap.term, sub)
+    return ap if term is ap.term else ATerm(term, ap.guards, ap.uids)
 
 
-def _zip(ap: ATerm, old: Process, new: Process) -> ATerm:
-    """`ap` with the names of `new`, where `old` is `ap`'s erasure and `new`
-    has its shape.  Nodes are hash-consed, so a subtree whose erasure the
-    substitution left alone is kept as it is."""
-    if new is old:
-        return ap
-    if isinstance(ap, ATau):
-        return ATau(ap.guards, ap.uid, _zip(ap.cont, old.cont, new.cont))
-    if isinstance(ap, AOut):
-        return AOut(ap.guards, ap.uid, new.subject, new.object,
-                    _zip(ap.cont, old.cont, new.cont))
-    if isinstance(ap, AIn):
-        return AIn(ap.guards, ap.uid, new.subject, new.binder,
-                   _zip(ap.cont, old.cont, new.cont))
-    if isinstance(ap, ARes):
-        return ARes(new.binder, _zip(ap.body, old.body, new.body))
-    if isinstance(ap, (ASum, APar)):
-        return type(ap)(_zip(ap.left, old.left, new.left),
-                        _zip(ap.right, old.right, new.right))
-    if isinstance(ap, ACall):
-        return ACall(ap.guards, ap.uid, ap.ident, new.args)
-    raise TypeError(f"not an annotated term: {ap!r}")
-
-
-GuardMap = Callable[[frozenset[EventRef]], frozenset[EventRef]]
-
-
-def amap(ap: ATerm, guards: Optional[GuardMap] = None,
-         names: Optional[Mapping[Name, Name]] = None) -> ATerm:
-    """Rebuild `ap` with every guard set passed through `guards` and every
-    name occurrence, binders included, renamed by `names`.
-
-    Renaming binders is only safe for injective maps whose targets are
-    globally fresh, which is how token placeholders are turned into final
-    `w` names.
-    """
-    if guards is None and not names:
-        return ap
-    return _amap(ap, guards or _same_guards, (names or {}).get)
-
-
-def _same_guards(g: frozenset[EventRef]) -> frozenset[EventRef]:
-    return g
-
-
-def _amap(t: ATerm, gmap: GuardMap, rn: Callable[[Name, Name], Name]) -> ATerm:
-    if isinstance(t, ANil):
-        return t
-    if isinstance(t, ATau):
-        return ATau(gmap(t.guards), t.uid, _amap(t.cont, gmap, rn))
-    if isinstance(t, AOut):
-        return AOut(gmap(t.guards), t.uid, rn(t.subject, t.subject),
-                    rn(t.object, t.object), _amap(t.cont, gmap, rn))
-    if isinstance(t, AIn):
-        return AIn(gmap(t.guards), t.uid, rn(t.subject, t.subject),
-                   rn(t.binder, t.binder), _amap(t.cont, gmap, rn))
-    if isinstance(t, ARes):
-        return ARes(rn(t.binder, t.binder), _amap(t.body, gmap, rn))
-    if isinstance(t, ASum):
-        return ASum(_amap(t.left, gmap, rn), _amap(t.right, gmap, rn))
-    if isinstance(t, APar):
-        return APar(_amap(t.left, gmap, rn), _amap(t.right, gmap, rn))
-    if isinstance(t, ACall):
-        return ACall(gmap(t.guards), t.uid, t.ident,
-                     tuple(rn(a, a) for a in t.args))
-    raise TypeError(f"not an annotated term: {t!r}")
-
-
-def relabel(sub: Mapping[EventRef, EventRef]) -> Optional[GuardMap]:
-    """The guard map of an event renaming, None when it renames nothing."""
+def relabel(ap: ATerm, sub: Mapping[EventRef, EventRef]) -> ATerm:
+    """`ap` with the events of its guards renamed by `sub`."""
     if not sub:
-        return None
-    return lambda g: frozenset(sub.get(e, e) for e in g)
+        return ap
+    return ATerm(ap.term, tuple([frozenset([sub.get(e, e) for e in g])
+                                 for g in ap.guards]), ap.uids)
+
+
+def _split(ap: ATerm) -> tuple[ATerm, ATerm]:
+    """The two operands of a sum or parallel annotated term."""
+    p = ap.term
+    n = positions(p.left)
+    return (ATerm(p.left, ap.guards[:n], ap.uids[:n]),
+            ATerm(p.right, ap.guards[n:], ap.uids[n:]))
+
+
+def _par(x: ATerm, y: ATerm) -> ATerm:
+    return ATerm(Par(x.term, y.term), x.guards + y.guards, x.uids + y.uids)
 
 
 # --------------------------------------------------------------------------
@@ -302,64 +140,70 @@ def communicating(a: Action, b: Action) -> bool:
 
 def raw_steps(ap: ATerm, env: Environment, alloc: Alloc,
               fuel: int = DEFAULT_GUARD_DEPTH) -> list[RawTransition]:
-    if isinstance(ap, ANil):
+    p = ap.term
+    if isinstance(p, Nil):
         return []
-    if isinstance(ap, ATau):
+    if isinstance(p, (TauPrefix, OutputPrefix, InputPrefix)):
         ev = alloc.ev()
-        fire = Fire(TAU, frozenset((ap.uid,)), ap.guards, ev, None)
-        return [((fire,), amap(ap.cont, lambda g: g | {ev}))]
-    if isinstance(ap, AOut):
-        ev = alloc.ev()
-        fire = Fire(FreeOutput(ap.subject, ap.object), frozenset((ap.uid,)),
-                    ap.guards, ev, None)
-        return [((fire,), amap(ap.cont, lambda g: g | {ev}))]
-    if isinstance(ap, AIn):
-        ev = alloc.ev()
-        tok = alloc.tok()
-        fire = Fire(Input(ap.subject, tok), frozenset((ap.uid,)), ap.guards, ev, tok)
-        target = asubst(amap(ap.cont, lambda g: g | {ev}), {ap.binder: tok})
+        tok = None
+        # The continuation's positions all fired below this prefix.
+        target = ATerm(p.cont, tuple([g | {ev} for g in ap.guards[1:]]),
+                       ap.uids[1:])
+        if isinstance(p, TauPrefix):
+            action: Action = TAU
+        elif isinstance(p, OutputPrefix):
+            action = FreeOutput(p.subject, p.object)
+        else:
+            tok = alloc.tok()
+            action = Input(p.subject, tok)
+            target = asubst(target, {p.binder: tok})
+        fire = Fire(action, frozenset(ap.uids[:1]), ap.guards[0], ev, tok)
         return [((fire,), target)]
-    if isinstance(ap, ACall):
+    if isinstance(p, Call):
         if fuel <= 0:
             raise UnguardedRecursion(
-                f"unfolding {ap.ident} exceeded the guard depth without "
+                f"unfolding {p.ident} exceeded the guard depth without "
                 "reaching a prefix")
-        body = env.instantiate(Call(ap.ident, ap.args))
-        return raw_steps(annotate(body, alloc, ap.guards), env, alloc, fuel - 1)
-    if isinstance(ap, ASum):
-        return (raw_steps(ap.left, env, alloc, fuel)
-                + raw_steps(ap.right, env, alloc, fuel))
-    if isinstance(ap, ARes):
+        return raw_steps(annotate(env.instantiate(p), alloc, ap.guards[0]),
+                         env, alloc, fuel - 1)
+    if isinstance(p, Sum):
+        left, right = _split(ap)
+        return (raw_steps(left, env, alloc, fuel)
+                + raw_steps(right, env, alloc, fuel))
+    if isinstance(p, Restriction):
         out: list[RawTransition] = []
-        for fires, target in raw_steps(ap.body, env, alloc, fuel):
-            if all(ap.binder not in action_names(f.action) for f in fires):
-                out.append((fires, ARes(ap.binder, target)))
+        for fires, target in raw_steps(ATerm(p.body, ap.guards, ap.uids),
+                                       env, alloc, fuel):
+            if all(p.binder not in action_names(f.action) for f in fires):
+                out.append((fires, ATerm(Restriction(p.binder, target.term),
+                                         target.guards, target.uids)))
                 continue
             if all(isinstance(f.action, FreeOutput)
-                   and f.action.object == ap.binder
-                   and f.action.subject != ap.binder for f in fires):
+                   and f.action.object == p.binder
+                   and f.action.subject != p.binder for f in fires):
                 tok = alloc.tok()
                 opened = tuple(
                     f._replace(action=BoundOutput(f.action.subject, tok), tok=tok)
                     for f in fires)
-                out.append((opened, asubst(target, {ap.binder: tok})))
+                out.append((opened, asubst(target, {p.binder: tok})))
             # otherwise the restricted name escapes: the step is blocked
         return out
-    if isinstance(ap, APar):
-        left = raw_steps(ap.left, env, alloc, fuel)
-        right = raw_steps(ap.right, env, alloc, fuel)
+    if isinstance(p, Par):
+        lap, rap = _split(ap)
+        left = raw_steps(lap, env, alloc, fuel)
+        right = raw_steps(rap, env, alloc, fuel)
         if not left and not right:
             return []
         if not right:
-            return [(fires, APar(t, ap.right)) for fires, t in left]
+            return [(fires, _par(t, rap)) for fires, t in left]
         if not left:
-            return [(fires, APar(ap.left, t)) for fires, t in right]
+            return [(fires, _par(lap, t)) for fires, t in right]
         out = []
         for xf, xt in left:
             for yf, yt in right:
                 out.extend(_join(xf, xt, yf, yt))
         return out
-    raise TypeError(f"not an annotated term: {ap!r}")
+    raise TypeError(f"not a process: {p!r}")
 
 
 def _matchings(cands: Sequence[tuple], k: int = 0,
@@ -483,11 +327,12 @@ def _assemble(xf: tuple[Fire, ...], xt: ATerm, yf: tuple[Fire, ...], yt: ATerm,
         rcv_ev[rcv.ev] = snd.ev
         taus.append(Fire(TAU, snd.uids | rcv.uids, snd.causes | rcv.causes,
                          snd.ev, None))
-    lt = amap(asubst(xt, sub_x), relabel(ev_x))
-    rt = amap(asubst(yt, sub_y), relabel(ev_y))
-    combined: ATerm = APar(lt, rt)
+    lt = relabel(asubst(xt, sub_x), ev_x)
+    rt = relabel(asubst(yt, sub_y), ev_y)
+    combined = _par(lt, rt)
     for w in wraps:
-        combined = ARes(w, combined)
+        combined = ATerm(Restriction(w, combined.term), combined.guards,
+                         combined.uids)
     fires: list[Fire] = []
     for i in plan.rest_x:
         f = xf[i]
@@ -722,7 +567,7 @@ def transitions(p: Process, env: Environment = EMPTY_ENV, *,
     for fires, target in raws:
         ofires, atarget = finalize(fires, target, base_avoid)
         label = tuple(f.action for f in ofires)
-        plain = erase(atarget)
+        plain = atarget.term
         k = (label, canonical(plain))
         if k not in seen:
             seen[k] = Transition(p, label, plain)
@@ -742,14 +587,51 @@ def finalize(fires: tuple[Fire, ...], target: ATerm,
     picked = [fires[i] for i in order]
     tokmap: dict[Name, Name] = {}
     taken = set(base_avoid)
-    for tok in [f.tok for f in picked] + list(_anames_in_order(target)):
-        if tok is not None and tok.startswith("~") and tok not in tokmap:
-            w = fresh_name(taken)
-            tokmap[tok] = w
-            taken.add(w)
+    for f in picked:
+        if f.tok is not None:
+            _final_name(f.tok, tokmap, taken)
+    term = _final_names(target.term, tokmap, taken)
     ordered = tuple([Fire(rename_action(f.action, tokmap), f.uids, f.causes,
                           f.ev, tokmap.get(f.tok)) for f in picked])
-    return ordered, amap(target, names=tokmap)
+    return ordered, ATerm(term, target.guards, target.uids)
+
+
+def _final_name(n: Name, tokmap: dict[Name, Name], taken: set[Name]) -> Name:
+    """The final name of `n`: a token met for the first time takes the
+    next fresh name; any other name stays."""
+    if not n.startswith("~"):
+        return n
+    w = tokmap.get(n)
+    if w is None:
+        w = tokmap[n] = fresh_name(taken)
+        taken.add(w)
+    return w
+
+
+def _final_names(p: Process, tokmap: dict[Name, Name],
+                 taken: set[Name]) -> Process:
+    """`p` with every token renamed by `_final_name` in preorder, binders
+    included.  Renaming a binder is safe here: the new names are fresh
+    and the map is injective."""
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, TauPrefix):
+        return TauPrefix(_final_names(p.cont, tokmap, taken))
+    if isinstance(p, OutputPrefix):
+        return OutputPrefix(_final_name(p.subject, tokmap, taken),
+                            _final_name(p.object, tokmap, taken),
+                            _final_names(p.cont, tokmap, taken))
+    if isinstance(p, InputPrefix):
+        return InputPrefix(_final_name(p.subject, tokmap, taken),
+                           _final_name(p.binder, tokmap, taken),
+                           _final_names(p.cont, tokmap, taken))
+    if isinstance(p, Restriction):
+        return Restriction(_final_name(p.binder, tokmap, taken),
+                           _final_names(p.body, tokmap, taken))
+    if isinstance(p, (Sum, Par)):
+        return type(p)(_final_names(p.left, tokmap, taken),
+                       _final_names(p.right, tokmap, taken))
+    return Call(p.ident, tuple([_final_name(a, tokmap, taken) for a in p.args]))
 
 
 def transition_json(t: Transition) -> dict:

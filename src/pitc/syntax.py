@@ -6,7 +6,8 @@ and used as a dictionary key.
 
 Process nodes are hash-consed: a constructor call returns the one node of
 that structure, so structural equality is identity and hashing is O(1).
-Each node memoizes its free names, all its names and its canonical form.
+Each node memoizes its free names, all its names, its canonical form and
+its count of prefixes and calls.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ class _Interned(type):
             _set_slot(node, "_free", None)
             _set_slot(node, "_all", None)
             _set_slot(node, "_canon", None)
+            _set_slot(node, "_pos", None)
             # setdefault: two threads never make two nodes of one structure.
             node = _NODES.setdefault(key, node)
         return node
@@ -153,7 +155,7 @@ class _Node(metaclass=_Interned):
     """Memo slots of a process node; copies and unpickling return the
     interned node itself."""
 
-    __slots__ = ("_free", "_all", "_canon")
+    __slots__ = ("_free", "_all", "_canon", "_pos")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -312,6 +314,25 @@ def _all(p: Process) -> frozenset[Name]:
 
 def bound_names(p: Process) -> frozenset[Name]:
     return all_names(p) - free_names(p)
+
+
+def positions(p: Process) -> int:
+    """Memoized count of the prefixes and calls of `p`: the positions an
+    annotated term (`semantics.ATerm`) annotates."""
+    out = p._pos
+    if out is None:
+        if isinstance(p, Nil):
+            out = 0
+        elif isinstance(p, (TauPrefix, OutputPrefix, InputPrefix)):
+            out = 1 + positions(p.cont)
+        elif isinstance(p, Restriction):
+            out = positions(p.body)
+        elif isinstance(p, (Sum, Par)):
+            out = positions(p.left) + positions(p.right)
+        else:
+            out = 1
+        _set_slot(p, "_pos", out)
+    return out
 
 
 def prefix_height(p: Process) -> Optional[int]:

@@ -19,8 +19,8 @@ from .syntax import (
     all_names, alpha_eq,
 )
 from .semantics import (
-    Alloc, ATerm, abstract_action, amap, annotate, erase, finalize,
-    label_bound_names, raw_steps, relabel,
+    Alloc, ATerm, abstract_action, annotate, finalize, label_bound_names,
+    raw_steps, relabel,
 )
 from .parser import format_process
 
@@ -52,7 +52,6 @@ class StepEdge:
 class NodeRecord:
     config: Config
     residual: ATerm
-    plain: Process
     edges: list[StepEdge] = field(default_factory=list)
     expanded: bool = False
 
@@ -153,7 +152,7 @@ class UnfoldedLTS:
             {
                 "id": idx[c],
                 "config": sorted(c),
-                "residual": format_process(rec.plain),
+                "residual": format_process(rec.residual.term),
             }
             for c, rec in sorted(self.nodes.items(),
                                  key=lambda kv: idx[kv[0]])
@@ -190,7 +189,7 @@ class UnfoldedLTS:
         lines = ["digraph unfolding {", "  rankdir=LR;", "  node [shape=box];"]
         for c, i in sorted(idx.items(), key=lambda kv: kv[1]):
             cfg = "{" + ",".join(f"e{e}" for e in sorted(c)) + "}"
-            lines.append(f'  n{i} [label="{cfg}\\n{format_process(self.nodes[c].plain)}"];')
+            lines.append(f'  n{i} [label="{cfg}\\n{format_process(self.nodes[c].residual.term)}"];')
         for rec in self.nodes.values():
             for e in rec.edges:
                 label = ", ".join(str(a) for a in e.actions)
@@ -208,7 +207,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
     u = UnfoldedLTS(p, env, depth, budget)
     alloc = Alloc()
     base_avoid = frozenset(all_names(p) | env.names() | set(avoid))
-    u.nodes[u.root] = NodeRecord(u.root, annotate(p, alloc), p)
+    u.nodes[u.root] = NodeRecord(u.root, annotate(p, alloc))
     by_key: dict[tuple, int] = {}
     frontier = [u.root]
     for _ in range(depth):
@@ -217,7 +216,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
             node = u.nodes[cfg]
             node.expanded = True
             raws = raw_steps(node.residual, env, alloc)
-            edge_avoid = base_avoid | all_names(node.plain)
+            edge_avoid = base_avoid | all_names(node.residual.term)
             seen_edges: set[tuple] = set()
             for fires, target in raws:
                 ofires, atarget = finalize(fires, target, edge_avoid)
@@ -241,7 +240,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
                 if ekey in seen_edges:
                     continue
                 seen_edges.add(ekey)
-                resolved = amap(atarget, relabel(provmap))
+                resolved = relabel(atarget, provmap)
                 edge = StepEdge(cfg, tuple(eids),
                                 tuple(f.action for f in ofires), tgt)
                 node.edges.append(edge)
@@ -249,9 +248,9 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
                     if len(u.nodes) >= budget:
                         raise StateBudgetExceeded(
                             f"unfolding exceeded {budget} configurations")
-                    u.nodes[tgt] = NodeRecord(tgt, resolved, erase(resolved))
+                    u.nodes[tgt] = NodeRecord(tgt, resolved)
                     nxt.append(tgt)
-                elif not alpha_eq(u.nodes[tgt].plain, erase(resolved)):
+                elif not alpha_eq(u.nodes[tgt].residual.term, resolved.term):
                     raise InternalError(
                         "one configuration reached with two residuals")
         frontier = nxt
@@ -271,20 +270,7 @@ def pomset_transitions(u: UnfoldedLTS, c: Config,
     if c not in u.nodes:
         raise KeyError(f"{sorted(c)} is not a node of the unfolding")
     found: dict[Config, tuple[dict[int, Action], int]] = {}
-
-    def walk(cfg: Config, acc: dict[int, Action], steps: int) -> None:
-        for edge in u.nodes[cfg].edges:
-            grown = dict(acc)
-            for eid, act in zip(edge.events, edge.actions):
-                grown[eid] = act
-            if len(grown) > max_size:
-                continue
-            key = frozenset(grown)
-            if key not in found or steps + 1 < found[key][1]:
-                found[key] = (grown, steps + 1)
-                walk(edge.target, grown, steps + 1)
-
-    walk(c, {}, 0)
+    _compose(u, c, {}, 0, max_size, found)
     out = []
     for key, (acts, steps) in sorted(found.items(),
                                      key=lambda kv: (len(kv[0]), sorted(kv[0]))):
@@ -296,6 +282,24 @@ def pomset_transitions(u: UnfoldedLTS, c: Config,
                                     tuple(acts[e] for e in events),
                                     order, c | key, steps))
     return out
+
+
+def _compose(u: UnfoldedLTS, cfg: Config, acc: dict[int, Action], steps: int,
+             max_size: int,
+             found: dict[Config, tuple[dict[int, Action], int]]) -> None:
+    """Grow `acc`, the events fired in `steps` step edges so far, by each
+    edge out of `cfg`; record in `found` each event set of at most
+    `max_size` events with its actions and fewest steps."""
+    for edge in u.nodes[cfg].edges:
+        grown = dict(acc)
+        for eid, act in zip(edge.events, edge.actions):
+            grown[eid] = act
+        if len(grown) > max_size:
+            continue
+        key = frozenset(grown)
+        if key not in found or steps + 1 < found[key][1]:
+            found[key] = (grown, steps + 1)
+            _compose(u, edge.target, grown, steps + 1, max_size, found)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Substitution on annotated terms.
+"""Substitution and annotations on annotated terms.
 
-`semantics.asubst` substitutes through `syntax.substitute` on the erasure
-and puts the guards and uids back.  The direct walk kept here, which
-renames capturing binders the way `syntax._subst_binder` does, is the
-reference it must agree with, together with the name sets of the erasure.
+An annotated term is a `Process` plus two flat tuples, the guard and the
+occurrence id of each prefix and call in preorder.  `semantics.asubst`
+substitutes with `syntax.substitute` on the term and keeps the tuples.
+The direct walk kept here, which renames capturing binders the way
+`syntax._subst_binder` does, is the reference `syntax.substitute` must
+agree with, together with the memoized name sets.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from pitc import InputPrefix, OutputPrefix, Par, Restriction, free_names
-from pitc.semantics import (
-    A_NIL, ACall, AIn, ANil, AOut, APar, ARes, ASum, ATau, Alloc, annotate,
-    asubst, erase, raw_steps,
+from pitc import (
+    NIL, Call, InputPrefix, Nil, OutputPrefix, Par, Restriction, Sum,
+    TauPrefix, free_names,
 )
-from pitc.syntax import EMPTY_ENV, all_names, fresh_name
+from pitc.semantics import ATerm, Alloc, annotate, asubst, finalize, raw_steps
+from pitc.syntax import (
+    EMPTY_ENV, all_names, fresh_name, positions, subterms, substitute,
+)
+from pitc.unfolding import unfold
 
 from helpers import alpha_variant, random_process, rng_for
 
@@ -26,62 +31,60 @@ from helpers import alpha_variant, random_process, rng_for
 # Reference walks
 # --------------------------------------------------------------------------
 
-def ref_names(ap) -> frozenset:
-    """Every name of `ap`, binders included."""
-    if isinstance(ap, ATau):
-        return ref_names(ap.cont)
-    if isinstance(ap, AOut):
-        return ref_names(ap.cont) | {ap.subject, ap.object}
-    if isinstance(ap, AIn):
-        return ref_names(ap.cont) | {ap.subject, ap.binder}
-    if isinstance(ap, ARes):
-        return ref_names(ap.body) | {ap.binder}
-    if isinstance(ap, (ASum, APar)):
-        return ref_names(ap.left) | ref_names(ap.right)
-    if isinstance(ap, ACall):
-        return frozenset(ap.args)
+def ref_names(p) -> frozenset:
+    """Every name of `p`, binders included."""
+    if isinstance(p, TauPrefix):
+        return ref_names(p.cont)
+    if isinstance(p, OutputPrefix):
+        return ref_names(p.cont) | {p.subject, p.object}
+    if isinstance(p, InputPrefix):
+        return ref_names(p.cont) | {p.subject, p.binder}
+    if isinstance(p, Restriction):
+        return ref_names(p.body) | {p.binder}
+    if isinstance(p, (Sum, Par)):
+        return ref_names(p.left) | ref_names(p.right)
+    if isinstance(p, Call):
+        return frozenset(p.args)
     return frozenset()
 
 
-def ref_free(ap) -> frozenset:
-    if isinstance(ap, ATau):
-        return ref_free(ap.cont)
-    if isinstance(ap, AOut):
-        return ref_free(ap.cont) | {ap.subject, ap.object}
-    if isinstance(ap, AIn):
-        return (ref_free(ap.cont) - {ap.binder}) | {ap.subject}
-    if isinstance(ap, ARes):
-        return ref_free(ap.body) - {ap.binder}
-    if isinstance(ap, (ASum, APar)):
-        return ref_free(ap.left) | ref_free(ap.right)
-    if isinstance(ap, ACall):
-        return frozenset(ap.args)
+def ref_free(p) -> frozenset:
+    if isinstance(p, TauPrefix):
+        return ref_free(p.cont)
+    if isinstance(p, OutputPrefix):
+        return ref_free(p.cont) | {p.subject, p.object}
+    if isinstance(p, InputPrefix):
+        return (ref_free(p.cont) - {p.binder}) | {p.subject}
+    if isinstance(p, Restriction):
+        return ref_free(p.body) - {p.binder}
+    if isinstance(p, (Sum, Par)):
+        return ref_free(p.left) | ref_free(p.right)
+    if isinstance(p, Call):
+        return frozenset(p.args)
     return frozenset()
 
 
-def ref_subst(ap, sub: dict):
+def ref_subst(p, sub: dict):
     live = {k: v for k, v in sub.items() if k != v}
-    return _ref_subst(ap, live) if live else ap
+    return _ref_subst(p, live) if live else p
 
 
-def _ref_subst(ap, sub: dict):
-    if isinstance(ap, ANil):
-        return ap
-    if isinstance(ap, ATau):
-        return ATau(ap.guards, ap.uid, _ref_subst(ap.cont, sub))
-    if isinstance(ap, AOut):
-        return AOut(ap.guards, ap.uid, sub.get(ap.subject, ap.subject),
-                    sub.get(ap.object, ap.object), _ref_subst(ap.cont, sub))
-    if isinstance(ap, AIn):
-        binder, cont = _ref_binder(ap.binder, ap.cont, sub)
-        return AIn(ap.guards, ap.uid, sub.get(ap.subject, ap.subject),
-                   binder, cont)
-    if isinstance(ap, ARes):
-        return ARes(*_ref_binder(ap.binder, ap.body, sub))
-    if isinstance(ap, (ASum, APar)):
-        return type(ap)(_ref_subst(ap.left, sub), _ref_subst(ap.right, sub))
-    return ACall(ap.guards, ap.uid, ap.ident,
-                 tuple(sub.get(a, a) for a in ap.args))
+def _ref_subst(p, sub: dict):
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, TauPrefix):
+        return TauPrefix(_ref_subst(p.cont, sub))
+    if isinstance(p, OutputPrefix):
+        return OutputPrefix(sub.get(p.subject, p.subject),
+                            sub.get(p.object, p.object), _ref_subst(p.cont, sub))
+    if isinstance(p, InputPrefix):
+        binder, cont = _ref_binder(p.binder, p.cont, sub)
+        return InputPrefix(sub.get(p.subject, p.subject), binder, cont)
+    if isinstance(p, Restriction):
+        return Restriction(*_ref_binder(p.binder, p.body, sub))
+    if isinstance(p, (Sum, Par)):
+        return type(p)(_ref_subst(p.left, sub), _ref_subst(p.right, sub))
+    return Call(p.ident, tuple(sub.get(a, a) for a in p.args))
 
 
 def _ref_binder(binder, scope, sub: dict):
@@ -98,14 +101,20 @@ def _ref_binder(binder, scope, sub: dict):
     return binder, _ref_subst(scope, relevant)
 
 
+def ref_positions(p) -> int:
+    """Prefixes and calls of `p`, counted on its syntax tree."""
+    return sum(1 for t in subterms(p)
+               if isinstance(t, (TauPrefix, OutputPrefix, InputPrefix, Call)))
+
+
 # --------------------------------------------------------------------------
 # Properties
 # --------------------------------------------------------------------------
 
-def random_subs(ap, rng: random.Random, count: int = 6) -> list[dict]:
-    """Substitutions whose keys and values are names of `ap`, its binders
+def random_subs(p, rng: random.Random, count: int = 6) -> list[dict]:
+    """Substitutions whose keys and values are names of `p`, its binders
     and tokens among them, or `w` names; identity entries included."""
-    pool = sorted(ref_names(ap)) + ["w0", "w1"]
+    pool = sorted(ref_names(p)) + ["w0", "w1"]
     subs = []
     for _ in range(count):
         size = rng.randint(1, 3)
@@ -113,15 +122,24 @@ def random_subs(ap, rng: random.Random, count: int = 6) -> list[dict]:
     return subs
 
 
-def assert_agrees(ap, rng: random.Random) -> None:
-    plain = erase(ap)
-    assert all_names(plain) == ref_names(ap)
-    assert free_names(plain) == ref_free(ap)
-    for sub in random_subs(ap, rng):
-        got, want = asubst(ap, sub), ref_subst(ap, sub)
-        assert got == want, sub
+def assert_well_formed(ap: ATerm) -> None:
+    assert len(ap.guards) == len(ap.uids) == positions(ap.term) \
+        == ref_positions(ap.term)
+
+
+def assert_agrees(ap: ATerm, rng: random.Random) -> None:
+    assert_well_formed(ap)
+    term = ap.term
+    assert all_names(term) == ref_names(term)
+    assert free_names(term) == ref_free(term)
+    for sub in random_subs(term, rng):
+        want = ref_subst(term, sub)
+        assert substitute(term, sub) is want, sub
+        got = asubst(ap, sub)
+        assert got.term is want, sub
+        assert got.guards is ap.guards and got.uids is ap.uids, sub
         # A term the substitution leaves alone is kept, not copied.
-        assert (got is ap) == (want == ap), sub
+        assert (got is ap) == (want is term), sub
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -145,9 +163,13 @@ def parallel_term(rng: random.Random):
                Par(receiver, random_process(rng, 2, names=names)))
 
 
-def step_targets(p):
+def raw_targets(p):
     alloc = Alloc()
-    return [t for _, t in raw_steps(annotate(p, alloc), EMPTY_ENV, alloc)]
+    return raw_steps(annotate(p, alloc), EMPTY_ENV, alloc)
+
+
+def step_targets(p) -> list[ATerm]:
+    return [t for _, t in raw_targets(p)]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -161,15 +183,51 @@ def test_asubst_agrees_on_step_targets(seed):
 
 
 def test_step_targets_have_token_binders():
+    """Some step targets bind a token, and `finalize` names it."""
     rng = rng_for(0)
-    assert any(isinstance(t, ARes) and t.binder.startswith("~")
-               for _ in range(20) for t in step_targets(parallel_term(rng)))
+    bound = [ap for _ in range(20) for ap in step_targets(parallel_term(rng))
+             if any(isinstance(t, Restriction) and t.binder.startswith("~")
+                    for t in subterms(ap.term))]
+    assert bound
+    for ap in bound:
+        assert not tokens(finalize((), ap, frozenset())[1].term)
 
 
 def test_capturing_binder_is_renamed_and_guards_kept():
-    term = AIn(frozenset({-2}), 8, "a", "y",
-               AOut(frozenset({-1}), 7, "x", "y", A_NIL))
+    term = ATerm(InputPrefix("a", "y", OutputPrefix("x", "y", NIL)),
+                 (frozenset({-2}), frozenset({-1})), (8, 7))
     # y is bound and x becomes y: the binder must move out of the way.
-    assert asubst(term, {"x": "y"}) == AIn(
-        frozenset({-2}), 8, "a", "w0", AOut(frozenset({-1}), 7, "y", "w0", A_NIL))
+    assert asubst(term, {"x": "y"}) == ATerm(
+        InputPrefix("a", "w0", OutputPrefix("y", "w0", NIL)),
+        term.guards, term.uids)
     assert asubst(term, {"b": "y"}) is term
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_targets_and_residuals_annotate_every_position(seed):
+    rng = rng_for(seed)
+    for p in (random_process(rng, 3), parallel_term(rng)):
+        for ap in step_targets(p):
+            assert_well_formed(ap)
+        for rec in unfold(p, depth=2).nodes.values():
+            assert_well_formed(rec.residual)
+
+
+def tokens(p) -> set:
+    return {n for n in ref_names(p) if n.startswith("~")}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_finalized_targets_hold_no_token(seed):
+    """`finalize` names every token, binders included, so none survives
+    into a transition's target."""
+    rng = rng_for(seed)
+    p = parallel_term(rng)
+    for fires, target in raw_targets(p):
+        ofires, final = finalize(fires, target, all_names(p))
+        assert not tokens(final.term)
+        assert not any(f.tok and f.tok.startswith("~") for f in ofires)
+        assert final.guards is target.guards and final.uids is target.uids
+

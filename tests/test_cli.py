@@ -194,13 +194,16 @@ class TestUnfold:
     ("unfold", "a!b.0"),
 ], ids=lambda argv: argv[0])
 def test_bad_budget_env_var_is_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("PITC_STATE_BUDGET", "abc")
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        "error: PITC_STATE_BUDGET must be an integer, got 'abc'\n")
+    for raw, message in (
+            ("abc", "error: PITC_STATE_BUDGET must be an integer, got 'abc'\n"),
+            ("0", "error: PITC_STATE_BUDGET must be positive, got '0'\n"),
+            ("-1", "error: PITC_STATE_BUDGET must be positive, got '-1'\n")):
+        monkeypatch.setenv("PITC_STATE_BUDGET", raw)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, raw
+        assert captured.out == ""
+        assert captured.err == message
 
 
 def _unreadable(tmp_path, kind: str) -> str:

@@ -23,7 +23,7 @@ from pitc import (
 )
 from pitc import equivalences
 from pitc.equivalences import _Budget, _HpGame, _PomsetGame, _StepGame
-from pitc.semantics import erase, instance_names
+from pitc.semantics import instance_names
 from pitc.syntax import EMPTY_ENV
 
 from helpers import random_process, rng_for
@@ -38,7 +38,7 @@ class ResidualNamesHp(_HpGame):
 
     def _try(self, e1, e2, f, d, base, names):
         return super()._try(e1, e2, f, d, base, instance_names(
-            erase(e1.target), erase(e2.target), self.env))
+            e1.target.term, e2.target.term, self.env))
 
 
 def assert_agrees(p, q, env=EMPTY_ENV, depth: int = 3) -> bool:
@@ -143,7 +143,7 @@ def _calling_state(frame):
         if slots and isinstance(game, (_StepGame, _PomsetGame, _HpGame)):
             a, b = (frame.f_locals[s] for s in slots)
             if isinstance(game, _HpGame):
-                a, b = erase(a), erase(b)
+                a, b = a.term, b.term
             return type(game), a, b
         frame = frame.f_back
     raise AssertionError("late_instances called outside a game state")

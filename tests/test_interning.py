@@ -22,7 +22,7 @@ from pitc import (
     NIL, Call, InputPrefix, OutputPrefix, Par, Restriction, Sum, TauPrefix,
     canonical, free_names, parse_file, parse_term, substitute, transitions,
 )
-from pitc.semantics import Alloc, annotate, clear_caches, erase
+from pitc.semantics import Alloc, annotate, clear_caches
 from pitc.syntax import all_names
 
 from helpers import alpha_variant, random_process, rng_for
@@ -111,7 +111,7 @@ class TestOneNodePerStructure:
         assert parse_term(text) is parsed
         assert substitute(parse_term(text.replace("y", "q")), {"q": "y"}) \
             is parsed
-        assert erase(annotate(parsed, Alloc())) is parsed
+        assert annotate(parsed, Alloc()).term is parsed
         assert canonical(parsed) is parsed
         assert canonical(parse_term("nu k. (x!k.0 | x?(m).m!y.0) + tau.Z(y)")) \
             is parsed

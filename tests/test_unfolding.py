@@ -102,9 +102,9 @@ class TestStructuralInvariants:
                     continue
                 want = sorted(str(label_key(t.label))
                               for t in transitions(p if rec.config == u.root
-                                                   else rec.plain))
+                                                   else rec.residual.term))
                 got = sorted(str(label_key(e.actions)) for e in rec.edges)
-                assert want == got, rec.plain
+                assert want == got, rec.residual.term
 
 
 class TestPomsets:
