@@ -69,6 +69,18 @@ def _load_env(path: Optional[str]) -> tuple[Environment, SourceFile]:
     return src.environment(), src
 
 
+def _print(text: str) -> None:
+    """Print `text` to standard output.  A reader that closes the pipe
+    early (`pitc ... | head -1`) ends the output but not the command,
+    whose exit code stays that of its answer.  As the SIGPIPE note of
+    Python's `signal` docs advises, standard output then goes to the null
+    device, so that neither a later print nor the flush at exit fails."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _term(text: str, src: SourceFile) -> Process:
     return parse_term(text, src.named)
 
@@ -77,7 +89,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     text = _read(args.file) if args.file else args.term
     _, src = _load_env(args.env)
     p = _term(text, src)
-    print(format_process(canonical(p)))
+    _print(format_process(canonical(p)))
     return EXIT_OK
 
 
@@ -86,11 +98,11 @@ def cmd_step(args: argparse.Namespace) -> int:
     p = _term(args.term, src)
     ts = transitions(p, env)
     if args.json:
-        print(json.dumps({"transitions": [transition_json(t) for t in ts]},
-                         indent=2))
+        _print(json.dumps({"transitions": [transition_json(t) for t in ts]},
+                          indent=2))
     else:
         for t in ts:
-            print(f"{format_label(t.label)} -> {format_process(t.target)}")
+            _print(f"{format_label(t.label)} -> {format_process(t.target)}")
     return EXIT_OK
 
 
@@ -107,13 +119,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = check(args.rel, p, q, env, args.depth, args.max_pomset,
                     budget=_budget())
     if args.json:
-        print(json.dumps(verdict.to_json(), indent=2))
+        _print(json.dumps(verdict.to_json(), indent=2))
     else:
         scope = "exact" if verdict.exact else f"up to depth {verdict.depth}"
         word = "equivalent" if verdict.equivalent else "NOT equivalent"
-        print(f"{args.rel}: {word} ({scope})")
+        _print(f"{args.rel}: {word} ({scope})")
         if not verdict.equivalent and verdict.distinguisher:
-            print(f"distinguisher: {json.dumps(verdict.distinguisher)}")
+            _print(f"distinguisher: {json.dumps(verdict.distinguisher)}")
     return EXIT_OK if verdict.equivalent else EXIT_NEGATIVE
 
 
@@ -125,18 +137,18 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.json:
         if ok:
             steps = [s.to_json() for s in detail]  # type: ignore[union-attr]
-            print(json.dumps({"provable": True, "trace": steps}, indent=2))
+            _print(json.dumps({"provable": True, "trace": steps}, indent=2))
         else:
-            print(json.dumps({"provable": False, "distinguisher": detail},
-                             indent=2))
+            _print(json.dumps({"provable": False, "distinguisher": detail},
+                              indent=2))
     else:
         if ok:
-            print("provable")
+            _print("provable")
             if args.trace:
                 for s in detail:  # type: ignore[union-attr]
-                    print(f"  {s.render()}")
+                    _print(f"  {s.render()}")
         else:
-            print(f"not provable: {json.dumps(detail)}")
+            _print(f"not provable: {json.dumps(detail)}")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -148,16 +160,16 @@ def cmd_unfold(args: argparse.Namespace) -> int:
     p = _term(args.term, src)
     u = unfold(p, env, args.depth, budget=_budget())
     if args.dot:
-        print(u.to_dot())
+        _print(u.to_dot())
     elif args.json:
-        print(json.dumps(u.to_json(), indent=2))
+        _print(json.dumps(u.to_json(), indent=2))
     else:
         data = u.to_json()
-        print(f"{len(data['nodes'])} configuration(s), "
-              f"{len(data['edges'])} step edge(s), "
-              f"{len(data['events'])} event(s)")
+        _print(f"{len(data['nodes'])} configuration(s), "
+               f"{len(data['edges'])} step edge(s), "
+               f"{len(data['events'])} event(s)")
         for e in data["edges"]:
-            print(f"  {e['source']} -{{{', '.join(e['labels'])}}}-> {e['target']}")
+            _print(f"  {e['source']} -{{{', '.join(e['labels'])}}}-> {e['target']}")
     return EXIT_OK
 
 

@@ -6,11 +6,14 @@ Step, pomset and hp are late-style and share one matching kernel,
 related under instantiation of the bound placeholder with every test name
 of the game state.  The test names are the free names of the state's two
 processes plus one fresh name (`instance_names`), computed once per state
-and passed to each of its matches.  hhp is not: it compares event
-labels with placeholders abstracted, on one symbolic unfolding of each
-process, and never instantiates inputs.  Verdicts are bounded by the
-depth; for recursion-free terms the bound is exhaustive and the verdict
-exact.
+and passed to each of its matches.  The three relations, and each
+bounded game, are closed under injective renaming of free names, so the
+games memoize their states up to such renamings: a state's key holds the
+`syntax.renaming_form` of its process pair, and the state budget counts
+states up to renaming.  hhp is not late-style: it compares event labels
+with placeholders abstracted, on one symbolic unfolding of each process,
+and never instantiates inputs.  Verdicts are bounded by the depth; for
+recursion-free terms the bound is exhaustive and the verdict exact.
 
 step / pomset   one game over process pairs that differs only in its
                 moves: step edges, resp. compositions of consecutive step
@@ -35,7 +38,7 @@ from .errors import StateBudgetExceeded
 from .parser import format_process
 from .syntax import (
     EMPTY_ENV, Action, Environment, Name, Process, all_names, canonical,
-    prefix_height, substitute,
+    prefix_height, renaming_form, substitute,
 )
 from .semantics import (
     Alloc, ATerm, LateInstances, abstract_action, annotate, asubst,
@@ -90,6 +93,30 @@ class _Budget:
         if self.used > self.limit:
             raise StateBudgetExceeded(
                 f"equivalence check exceeded {self.limit} game states")
+
+
+class _Forms:
+    """Process pairs up to injective renaming of free names, for one
+    check: `id(p, q)` is one int for all pairs with one `renaming_form`,
+    and `pairs[i]` is the first pair met of id `i`, as canonical forms, so
+    that witnesses show real residuals."""
+
+    form = staticmethod(renaming_form)
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple[Process, Process], int] = {}
+        self.by_form: dict[tuple, int] = {}
+        self.pairs: list[tuple[Process, Process]] = []
+
+    def id(self, p: Process, q: Process) -> int:
+        pair = (canonical(p), canonical(q))
+        i = self.ids.get(pair)
+        if i is None:
+            i = self.ids[pair] = self.by_form.setdefault(self.form(*pair),
+                                                         len(self.pairs))
+            if i == len(self.pairs):
+                self.pairs.append(pair)
+        return i
 
 
 def _by_key(items, key) -> dict:
@@ -147,12 +174,13 @@ class _LateGame:
     def __init__(self, env: Environment, budget: _Budget) -> None:
         self.env = env
         self.budget = budget
-        self.memo: dict[tuple, bool] = {}
+        self.forms = _Forms()
+        self.memo: dict[tuple[int, int], bool] = {}
 
     def eq(self, p: Process, q: Process, d: int) -> bool:
         if d <= 0:
             return True
-        key = (canonical(p), canonical(q), d)
+        key = (self.forms.id(p, q), d)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -171,7 +199,7 @@ class _LateGame:
         verdict = RelationVerdict(self.relation, equivalent, depth,
                                   _is_exact(p, q, depth))
         if equivalent:
-            verdict.witness = _pair_witness(self.memo)
+            verdict.witness = _pair_witness(self.memo, self.forms.pairs)
         else:
             verdict.distinguisher = self.explain(p, q, depth)
         return verdict
@@ -251,18 +279,20 @@ def check_step(p: Process, q: Process, env: Environment = EMPTY_ENV,
     return _StepGame(env, _Budget(budget)).verdict(p, q, depth)
 
 
-def _pair_witness(memo: dict[tuple, bool], cap: int = 200) -> list:
-    """The first `cap` distinct process pairs that a step or pomset memo
-    holds as related, at any depth, in the memo's order."""
-    pairs = []
+def _pair_witness(memo: dict[tuple[int, int], bool],
+                  pairs: list[tuple[Process, Process]], cap: int = 200) -> list:
+    """The first `cap` process pairs, distinct up to renaming, that a step
+    or pomset memo holds as related, at any depth, in the memo's order;
+    each is the first pair met of its form."""
+    out = []
     seen = set()
-    for (cp, cq, _), ok in memo.items():
-        if ok and (cp, cq) not in seen:
-            seen.add((cp, cq))
-            pairs.append([format_process(cp), format_process(cq)])
-            if len(pairs) >= cap:
+    for (i, _), ok in memo.items():
+        if ok and i not in seen:
+            seen.add(i)
+            out.append([format_process(r) for r in pairs[i]])
+            if len(out) >= cap:
                 break
-    return pairs
+    return out
 
 
 class _PomsetGame(_LateGame):
@@ -339,6 +369,7 @@ class _HpGame:
     def __init__(self, env: Environment, budget: _Budget) -> None:
         self.env = env
         self.budget = budget
+        self.forms = _Forms()
         self.memo: dict[tuple, bool] = {}
         self.witness: dict[tuple, None] = {}
 
@@ -353,10 +384,11 @@ class _HpGame:
         `ap1` and `ap2` name their causes among f's events."""
         if d <= 0:
             return True
-        # The annotated residuals themselves go into the key: plain terms
-        # would conflate states whose prefixes are wired to different
+        # The annotations go into the key beside the pair's form: plain
+        # terms would conflate states whose prefixes are wired to different
         # history events, and a verdict for one wiring can poison another.
-        key = (f, ap1, ap2, d)
+        key = (f, self.forms.id(ap1.term, ap2.term), ap1.guards, ap1.uids,
+               ap2.guards, ap2.uids, d)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -387,7 +419,8 @@ class _HpGame:
                 tuple(fr.causes for fr in ofires),
                 relabel(atarget, provmap),
             )
-            k = (edge.label, edge.causes, canonical(edge.target.term))
+            k = (edge.label, edge.causes, canonical(edge.target.term),
+                 edge.target.guards)
             if k not in seen:
                 seen.add(k)
                 out.append(edge)

@@ -473,6 +473,55 @@ def alpha_eq(p: Process, q: Process) -> bool:
     return canonical(p) is canonical(q)
 
 
+def renaming_form(p: Process, q: Process) -> tuple:
+    """A flat tuple equal for two pairs exactly when one pair is the image
+    of the other under alpha-conversion and an injective renaming of free
+    names, applied to both processes at once.
+
+    The tuple is the preorder of the canonical forms of `p`, then `q`:
+    one tag per node and one int per name slot, a free name being its
+    index in first-occurrence order across the pair and a bound name
+    minus one less the index of its binder in the side's preorder.
+    Canonical binders are pairwise distinct and distinct from the free
+    names of their side, so a binder's scope needs no tracking.
+    """
+    out: list = []
+    free: dict[Name, int] = {}
+    for t in (canonical(p), canonical(q)):
+        bound: dict[Name, int] = {}
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            if cls is OutputPrefix:
+                s, o = t.subject, t.object
+                out += (2, bound[s] if s in bound else free.setdefault(s, len(free)),
+                        bound[o] if o in bound else free.setdefault(o, len(free)))
+                stack.append(t.cont)
+            elif cls is InputPrefix:
+                s = t.subject
+                out += (3, bound[s] if s in bound else free.setdefault(s, len(free)))
+                bound[t.binder] = -1 - len(bound)
+                stack.append(t.cont)
+            elif cls is Par or cls is Sum:
+                out.append(6 if cls is Par else 5)
+                stack += (t.right, t.left)
+            elif cls is Nil:
+                out.append(0)
+            elif cls is TauPrefix:
+                out.append(1)
+                stack.append(t.cont)
+            elif cls is Restriction:
+                bound[t.binder] = -1 - len(bound)
+                out.append(4)
+                stack.append(t.body)
+            else:
+                out += (7, t.ident, len(t.args),
+                        *[bound[a] if a in bound else free.setdefault(a, len(free))
+                          for a in t.args])
+    return tuple(out)
+
+
 # --------------------------------------------------------------------------
 # Definitions and environments
 # --------------------------------------------------------------------------

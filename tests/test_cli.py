@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -284,3 +285,24 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{tau} -> 0"
+
+
+def test_closed_pipe_keeps_the_answer_exit_code():
+    # `pitc check ... --json | head -1`: the reader takes one line and
+    # closes the pipe.  The pipe is shrunk to one page so that the JSON
+    # (about 20 kB) cannot fit before the reader closes it.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe capacity cannot be set on this platform")
+    term = " | ".join(f"(a{i}!u.0 + b{i}!v.0)" for i in range(4))
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pitc.cli", "check", "--rel", "hhp", term,
+         term, "--json"], stdout=w, stderr=subprocess.PIPE, text=True)
+    os.close(w)
+    with os.fdopen(r) as reader:
+        assert reader.readline() == "{\n"
+    _, err = proc.communicate(timeout=60)
+    assert err == ""
+    assert proc.returncode == 0

@@ -87,6 +87,15 @@ class TestHp:
         assert not check_hp(parse_term("tau.a!u.0"),
                             parse_term("tau.0 | a!u.0"), depth=4).equivalent
 
+    def test_parallel_commutes_when_edges_differ_only_in_guards(self):
+        # Law P2.  The step where `a` shares its received name with one of
+        # the two inputs on `d` has two edges with one label and one plain
+        # residual: the `tau` hangs under the `d` event that shares the
+        # name, or under the other.  hp must keep both.
+        assert verdicts("d?(z).0 | a?(y).0 | d?(x).tau.0",
+                        "d?(x).tau.0 | a?(y).0 | d?(z).0") == dict.fromkeys(
+                            ALL, True)
+
 
 class TestHhp:
     def test_distribution_pairs_are_not_hhp(self):
@@ -165,14 +174,14 @@ class TestVerdictShape:
 
     def test_pair_witness_filters_before_capping(self):
         from pitc.equivalences import _pair_witness
-        terms = [parse_term(f"a{i}!u.0") for i in range(210)]
+        pairs = [(parse_term(f"a{i}!u.0"),) * 2 for i in range(210)]
         # Five unrelated pairs first, then 205 related ones, each related
         # at two depths.
-        memo = {(terms[i], terms[i], 3): False for i in range(5)}
+        memo = {(i, 3): False for i in range(5)}
         for i in range(5, 210):
-            memo[(terms[i], terms[i], 2)] = True
-            memo[(terms[i], terms[i], 1)] = True
-        got = _pair_witness(memo)
+            memo[(i, 2)] = True
+            memo[(i, 1)] = True
+        got = _pair_witness(memo, pairs)
         assert len(got) == 200
         assert got[0] == ["a5!u.0", "a5!u.0"]
         assert len({tuple(pair) for pair in got}) == 200
