@@ -479,17 +479,19 @@ def renaming_form(p: Process, q: Process) -> tuple:
     names, applied to both processes at once.
 
     The tuple is the preorder of the canonical forms of `p`, then `q`:
-    one tag per node and one int per name slot, a free name being its
-    index in first-occurrence order across the pair and a bound name
-    minus one less the index of its binder in the side's preorder.
-    Canonical binders are pairwise distinct and distinct from the free
-    names of their side, so a binder's scope needs no tracking.
+    one tag per node and one int per name slot.  A free name is its index
+    in first-occurrence order across the pair; a name bound by the i-th
+    binder of its side, in preorder, is `-1 - i`.  Canonical binders are
+    pairwise distinct and distinct from the free names of their side, so
+    a binder's scope needs no tracking.
     """
     out: list = []
     free: dict[Name, int] = {}
-    for t in (canonical(p), canonical(q)):
+    for t in (p, q):
         bound: dict[Name, int] = {}
-        stack = [t]
+        # The games pass canonical forms, whose memo slot is themselves.
+        canon = t._canon
+        stack = [canon if canon is not None else canonical(t)]
         while stack:
             t = stack.pop()
             cls = type(t)
