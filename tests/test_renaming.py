@@ -26,6 +26,7 @@ from pitc.syntax import (
 
 from helpers import NAME_POOL, alpha_variant, random_process, rng_for
 from test_golden import CASES, HANDOVER, _choice, _choice_distributed, _ring
+from test_hp import _broken
 
 UNLIMITED = 10 ** 9
 
@@ -70,10 +71,6 @@ def test_agrees_on_choice_family(n):
         assert_agrees(lhs, parse_term(twin))
 
 
-def _broken_ring(comps: list[str]) -> list[str]:
-    return [comps[0], "c0?(y).d0!y.0"] + comps[2:]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_agrees_on_rings(n):
     comps = _ring(n)
@@ -81,7 +78,7 @@ def test_agrees_on_rings(n):
     assert all(assert_agrees(lhs, parse_term(" | ".join(comps[::-1])))
                .values())
     assert not any(assert_agrees(
-        lhs, parse_term(" | ".join(_broken_ring(comps)))).values())
+        lhs, parse_term(" | ".join(_broken(comps)))).values())
 
 
 def _pool(k: int) -> list[str]:
@@ -241,7 +238,7 @@ def test_form_is_equal_on_renamed_pairs():
 @pytest.mark.parametrize("lhs, states", [
     (" | ".join(_pool(3)), 79),       # the exact names need 345
     (" | ".join(_pool(4)), 801),      # and 6563
-    (" | ".join(_ring(4)), 218),      # and 218: a ring renames no state
+    (" | ".join(_ring(4)), 218),      # and 218: no two ring states are renamings
 ], ids=["pool k=3", "pool k=4", "ring n=4"])
 @pytest.mark.parametrize("relation", ["step", "pomset", "hp"])
 def test_game_states_up_to_renaming(lhs, states, relation):
