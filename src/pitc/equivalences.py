@@ -10,10 +10,16 @@ and passed to each of its matches.  The three relations, and each
 bounded game, are closed under injective renaming of free names, so the
 games memoize their states up to such renamings: a state's key holds the
 `syntax.renaming_form` of its process pair, and the state budget counts
-states up to renaming.  hhp is not late-style: it compares event labels
-with placeholders abstracted, on one symbolic unfolding of each process,
-and never instantiates inputs.  Verdicts are bounded by the depth; for
-recursion-free terms the bound is exhaustive and the verdict exact.
+states up to renaming.  A game builds no instance it will not read: a
+residual pair at the depth horizon holds whatever it is, so a move that
+lands there is answered by any pairing (for hp, any order-preserving
+bijection) and nothing is instantiated.  Nor does it build one twice:
+each game makes its substitutions through one table per check,
+`instances`, keyed on (term, *substitution items).  hhp is not
+late-style: it compares event labels with placeholders abstracted, on
+one symbolic unfolding of each process, and never instantiates inputs.
+Verdicts are bounded by the depth; for recursion-free terms the bound is
+exhaustive and the verdict exact.
 
 step / pomset   one game over process pairs that differs only in its
                 moves: step edges, resp. compositions of consecutive step
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StateBudgetExceeded
 from .parser import format_process
@@ -41,9 +47,9 @@ from .syntax import (
     prefix_height, renaming_form, substitute,
 )
 from .semantics import (
-    Alloc, ATerm, LateInstances, abstract_action, annotate, asubst,
-    class_bijections, finalize, format_label, instance_names, label_key,
-    late_instances, raw_steps, relabel, rename_action, transitions,
+    Alloc, ATerm, LateInstances, abstract_action, annotate, class_bijections,
+    finalize, format_label, instance_names, label_key, late_instances,
+    raw_steps, relabel, rename_action, transitions,
 )
 from .unfolding import (
     DEFAULT_STATE_BUDGET, PomsetTransition, UnfoldedLTS, pomset_isos,
@@ -119,6 +125,17 @@ class _Forms:
         return i
 
 
+def _instance(done: dict[tuple, Process], p: Process,
+              sub: Mapping[Name, Name]) -> Process:
+    """`substitute(p, sub)`, computed once per check: `done` is the
+    check's table of the substitutions it has made."""
+    key = (p, *sub.items())
+    hit = done.get(key)
+    if hit is None:
+        hit = done[key] = substitute(p, sub)
+    return hit
+
+
 def _by_key(items, key) -> dict:
     """`items` grouped by `key`, each group in the given order."""
     groups: dict = {}
@@ -176,6 +193,7 @@ class _LateGame:
         self.budget = budget
         self.forms = _Forms()
         self.memo: dict[tuple[int, int], bool] = {}
+        self.instances: dict[tuple, Process] = {}
 
     def eq(self, p: Process, q: Process, d: int) -> bool:
         if d <= 0:
@@ -216,10 +234,17 @@ class _LateGame:
         residual)."""
         avoid = avoid | all_names(t.target) | all_names(u.target)
         return late_instances(t.label, self._pairings(t, u), t.target,
-                              u.target, avoid, names, substitute)
+                              u.target, avoid, names, self._subst)
+
+    def _subst(self, p: Process, sub: Mapping[Name, Name]) -> Process:
+        return _instance(self.instances, p, sub)
 
     def _match(self, t: _Move, u: _Move, names: Sequence[Name],
                avoid: frozenset[Name], d: int, left_attacks: bool) -> bool:
+        if d - t.steps <= 0:
+            # `eq` holds at the horizon: any pairing answers, so build no
+            # instance of the residuals.
+            return next(iter(self._pairings(t, u)), None) is not None
         return any(all(_holds(self.eq, a, b, d - t.steps, left_attacks)
                        for a, b in pairs)
                    for _, _, pairs in self._late(t, u, names, avoid))
@@ -372,6 +397,7 @@ class _HpGame:
         self.forms = _Forms()
         self.memo: dict[tuple, bool] = {}
         self.witness: dict[tuple, None] = {}
+        self.instances: dict[tuple, Process] = {}
 
     def check(self, p: Process, q: Process, depth: int) -> bool:
         base = all_names(p) | all_names(q) | self.env.names()
@@ -436,17 +462,24 @@ class _HpGame:
                            all_names(e2.target.term))
         for sub1, sub2, pairs in late_instances(
                 e1.label, class_bijections(e1.label, e2.label),
-                e1.target, e2.target, avoid, names, asubst):
+                e1.target, e2.target, avoid, names, self._asubst):
             acts1 = tuple(rename_action(a, sub1) for a in e1.label)
             acts2 = tuple(rename_action(a, sub2) for a in e2.label)
             for g in _position_bijections(acts1, acts2):
                 if not self._order_ok(e1, e2, g, fmap):
                     continue
+                if d == 1:
+                    return True     # `go` holds at the horizon: no instances
                 f2 = tuple(sorted(fmap.items() | {
                     (n + i, n + j) for i, j in g.items()}))
                 if all(self.go(f2, a, b, d - 1, base) for a, b in pairs):
                     return True
         return False
+
+    def _asubst(self, ap: ATerm, sub: Mapping[Name, Name]) -> ATerm:
+        """`semantics.asubst` through the check's table of substitutions."""
+        term = _instance(self.instances, ap.term, sub)
+        return ap if term is ap.term else ATerm(term, ap.guards, ap.uids)
 
     @staticmethod
     def _order_ok(e1: _GameEdge, e2: _GameEdge, g: dict[int, int],
