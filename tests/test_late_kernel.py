@@ -173,10 +173,9 @@ def test_ring_instantiates_once_and_not_at_the_horizon(monkeypatch, relation,
     comps = _ring(3)
     p, q = parse_term(" | ".join(comps)), parse_term(" | ".join(comps[::-1]))
     budget = _Budget(10 ** 9)
-    game = {"step": lambda: _StepGame(EMPTY_ENV, budget),
-            "pomset": lambda: _PomsetGame(EMPTY_ENV, DEFAULT_MAX_POMSET,
-                                          budget),
-            "hp": lambda: _HpGame(EMPTY_ENV, budget)}[relation]()
+    game = (_HpGame(EMPTY_ENV, budget) if relation == "hp" else
+            _StepGame(EMPTY_ENV, budget) if relation == "step" else
+            _PomsetGame(EMPTY_ENV, DEFAULT_MAX_POMSET, budget))
     # Every residual pair a game reads goes through `eq` (`go` for hp), so
     # a call at depth 0 is an instance built at the horizon.
     depths = []
