@@ -6,7 +6,8 @@ is a replayable sequence of axiom instances: identifier unfolding (I),
 restriction laws (R0 and generalizations of R2-R4, plus scope extrusion
 O which the axiom set needs but does not name), summation laws (S0-S3),
 and the expansion law (E).  A head normal form is a sum of multi-prefix
-summands; a summand whose prefixes fire several actions at once is
+summands, and the summands of a term are the steps `semantics.raw_steps`
+derives for it; a summand whose prefixes fire several actions at once is
 realized as the parallel composition of its single-prefix parts, which
 fires them as one step under the maximal-step discipline.
 """
@@ -19,14 +20,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import DepthExceeded, NotWeaklyGuarded, StateBudgetExceeded
 from .parser import format_process
 from .syntax import (
-    EMPTY_ENV, NIL, TAU, Action, BoundOutput, Call, Environment, FreeOutput,
-    Input, InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction,
-    Sum, TauPrefix, action_names, all_names, alpha_eq, canonical, free_names,
-    fresh_name, substitute, subterms, sum_of,
+    EMPTY_ENV, NIL, TAU, Action, Call, Environment, FreeOutput, Input,
+    InputPrefix, Name, Nil, OutputPrefix, Par, Process, Restriction, Sum,
+    TauPrefix, action_names, all_names, alpha_eq, canonical, free_names,
+    fresh_name, positions, substitute, subterms, sum_of,
 )
 from .semantics import (
-    _placeholder, canonical_order, class_bijections, instance_names,
-    join_plans, label_bound_names, label_classes, label_key, late_instances,
+    Alloc, Fire, annotate, class_bijections, finalize, instance_names,
+    label_classes, label_key, late_instances, raw_steps, transitions,
 )
 
 DEFAULT_UNFOLD_CAP = 16
@@ -329,98 +330,38 @@ class Prover:
     def _summands(self, t: Process) -> tuple[Summand, ...]:
         if isinstance(t, Nil):
             return ()
-        if isinstance(t, (TauPrefix, OutputPrefix, InputPrefix)):
-            return (self._canon_summand((_head_action(t),), t.cont, t),)
+        if isinstance(t, InputPrefix):
+            w = fresh_name(all_names(t))
+            return (Summand((Input(t.subject, w),),
+                            substitute(t.cont, {t.binder: w}), t),)
+        if isinstance(t, (TauPrefix, OutputPrefix)):
+            return (Summand((_head_action(t),), t.cont, t),)
         if isinstance(t, Sum):
             return self.summands_of(t.left) + self.summands_of(t.right)
-        if isinstance(t, Restriction):
+        # A side that is 0 idles; in a normal form it is the only side
+        # without summands.
+        if isinstance(t, Par) and isinstance(t.right, Nil):
+            return tuple(Summand(s.prefixes, Par(s.cont, t.right),
+                                 Par(s.enc, t.right))
+                         for s in self.summands_of(t.left))
+        if isinstance(t, Par) and isinstance(t.left, Nil):
+            return tuple(Summand(s.prefixes, Par(t.left, s.cont),
+                                 Par(t.left, s.enc))
+                         for s in self.summands_of(t.right))
+        if isinstance(t, (Par, Restriction)):
+            alloc = Alloc()
+            avoid = all_names(t)
             out: list[Summand] = []
-            for s in self.summands_of(t.body):
-                if t.binder not in _prefix_names(s.prefixes):
-                    out.append(self._canon_summand(
-                        s.prefixes, Restriction(t.binder, s.cont),
-                        Restriction(t.binder, s.enc)))
-                elif _all_outputs_of(s.prefixes, t.binder):
-                    w = fresh_name(all_names(s.cont) | all_names(t)
-                                   | _prefix_names(s.prefixes))
-                    prefixes = tuple(
-                        BoundOutput(a.subject, w) for a in s.prefixes)
-                    out.append(self._canon_summand(
-                        prefixes, substitute(s.cont, {t.binder: w}),
-                        Restriction(t.binder, s.enc)))
-            return tuple(out)
-        if isinstance(t, Par):
-            ls = self.summands_of(t.left)
-            rs = self.summands_of(t.right)
-            if not ls and not rs:
-                return ()
-            if not rs:
-                return tuple(self._canon_summand(
-                    s.prefixes, Par(s.cont, t.right), Par(s.enc, t.right))
-                    for s in ls)
-            if not ls:
-                return tuple(self._canon_summand(
-                    s.prefixes, Par(t.left, s.cont), Par(t.left, s.enc))
-                    for s in rs)
-            out = []
-            for sl in ls:
-                for sr in rs:
-                    out.extend(self._join_summands(sl, sr))
+            # Fuel 0: a call in head position is not a normal form.
+            for fires, target in raw_steps(annotate(t, alloc), EMPTY_ENV,
+                                           alloc, 0):
+                fires, target = finalize(fires, target, avoid)
+                out.append(Summand(tuple(f.action for f in fires),
+                                   target.term, _enc(t, fires)))
             return tuple(out)
         if isinstance(t, Call):
             raise DepthExceeded("identifier in head position of a normal form")
         raise TypeError(f"not a process: {t!r}")
-
-    def _canon_summand(self, prefixes: tuple[Action, ...], cont: Process,
-                       enc: Process) -> Summand:
-        _, order = canonical_order(prefixes)
-        avoid = (set(all_names(cont)) | set(all_names(enc))
-                 | _prefix_names(prefixes))
-        mapping: dict[Name, Name] = {}
-        for i in order:
-            a = prefixes[i]
-            if isinstance(a, (Input, BoundOutput)) \
-                    and a.placeholder not in mapping:
-                w = fresh_name(avoid)
-                avoid.add(w)
-                mapping[a.placeholder] = w
-        newpfx = tuple(_rename_binders(prefixes[i], mapping) for i in order)
-        newcont = substitute(cont, mapping)
-        return Summand(newpfx, newcont, enc)
-
-    def _join_summands(self, sl: Summand, sr: Summand) -> list[Summand]:
-        # Keep the two sides' placeholders apart before planning the join.
-        clash = label_bound_names(sr.prefixes)
-        taken = (_prefix_names(sl.prefixes) | _prefix_names(sr.prefixes)
-                 | all_names(sl.cont) | all_names(sr.cont))
-        renames: dict[Name, Name] = {}
-        for n in sorted(clash):
-            w = fresh_name(taken)
-            taken.add(w)
-            renames[n] = w
-        rp = tuple(_rename_binders(a, renames) for a in sr.prefixes)
-        rc = substitute(sr.cont, renames)
-        ax = list(sl.prefixes)
-        ay = list(rp)
-        out: list[Summand] = []
-        for plan in join_plans(ax, [_placeholder(a) for a in ax],
-                               ay, [_placeholder(a) for a in ay]):
-            sub_x, sub_y, wraps = plan.substitutions(ax, ay)
-            prefixes = tuple(
-                [_rename_binders(ax[i], sub_x) for i in plan.rest_x]
-                + [_rename_binders(ay[j], sub_y) for j in plan.rest_y]
-                + [TAU] * len(plan.merges))
-            cont: Process = Par(substitute(sl.cont, sub_x),
-                                substitute(rc, sub_y))
-            for w in wraps:
-                cont = Restriction(w, cont)
-            cand = self._canon_summand(prefixes, cont, Par(sl.enc, sr.enc))
-            if len(cand.prefixes) == 1:
-                # A fully merged communication reads better as a silent prefix.
-                cand = Summand(cand.prefixes, cand.cont,
-                               _direct_enc(cand.prefixes[0], cand.cont))
-            out.append(cand)
-        return out
 
     # -- equality -----------------------------------------------------------
 
@@ -445,12 +386,7 @@ class Prover:
             raise DepthExceeded("undecided: equation loops under unfolding")
         self._active.add(key)
         try:
-            np_, _ = self.normalize(p)
-            nq_, _ = self.normalize(q)
-            sp = _distinct_summands(self.summands_of(np_))
-            sq = _distinct_summands(self.summands_of(nq_))
-            ok = (all(any(self._summands_eq(s, t) for t in sq) for s in sp)
-                  and all(any(self._summands_eq(t, s) for s in sp) for t in sq))
+            ok = self.unmatched(p, q) is None
         finally:
             self._active.discard(key)
         self._eq_memo[key] = ok
@@ -468,6 +404,8 @@ class Prover:
                        s.cont, t.cont, avoid, instance_names, substitute))
 
     def unmatched(self, p: Process, q: Process) -> Optional[dict]:
+        """The first summand of either side that no summand of the other
+        side matches, or None when each side covers the other."""
         np_, _ = self.normalize(p)
         nq_, _ = self.normalize(q)
         sp = _distinct_summands(self.summands_of(np_))
@@ -476,7 +414,7 @@ class Prover:
             if not any(self._summands_eq(s, t) for t in sq):
                 return {"side": "left", "summand": s.render()}
         for t in sq:
-            if not any(self._summands_eq(s, t) for s in sp):
+            if not any(self._summands_eq(t, s) for s in sp):
                 return {"side": "right", "summand": t.render()}
         return None
 
@@ -519,25 +457,37 @@ def _all_outputs_of(prefixes: Sequence[Action], y: Name) -> bool:
                for a in prefixes)
 
 
-def _rename_binders(a: Action, sub: dict[Name, Name]) -> Action:
-    """Rename only the bound placeholder slot; subjects and objects are
-    free references and must stay put."""
-    if isinstance(a, Input):
-        return Input(a.subject, sub.get(a.placeholder, a.placeholder))
-    if isinstance(a, BoundOutput):
-        return BoundOutput(a.subject, sub.get(a.placeholder, a.placeholder))
-    return a
+def _touching(fires: Sequence[Fire], lo: int, hi: int) -> int:
+    """How many of `fires` fired a position `lo <= uid < hi`."""
+    return sum(1 for f in fires if any(lo <= u < hi for u in f.uids))
 
 
-def _direct_enc(a: Action, cont: Process) -> Process:
-    if isinstance(a, Input):
-        return InputPrefix(a.subject, a.placeholder, cont)
-    if isinstance(a, FreeOutput):
-        return OutputPrefix(a.subject, a.object, cont)
-    if isinstance(a, BoundOutput):
-        return Restriction(a.placeholder,
-                           OutputPrefix(a.subject, a.placeholder, cont))
-    return TauPrefix(cont)
+def _enc(t: Process, fires: Sequence[Fire], start: int = 1) -> Process:
+    """The term that realizes the step `fires` of `t`, whose prefixes and
+    calls are numbered in preorder from `start`, as `annotate` numbers
+    them from a fresh `Alloc`: each `Sum` cut to the branch that fired,
+    restrictions and the sides of a `Par` that did not fire kept whole.
+    A `Par` whose two sides fired, touched by one fire only, fired one
+    communication: it becomes the silent prefix of its own step."""
+    if isinstance(t, Sum):
+        n = positions(t.left)
+        if _touching(fires, start, start + n):
+            return _enc(t.left, fires, start)
+        return _enc(t.right, fires, start + n)
+    if isinstance(t, Restriction):
+        return Restriction(t.binder, _enc(t.body, fires, start))
+    if isinstance(t, Par):
+        mid = start + positions(t.left)
+        end = mid + positions(t.right)
+        fired_left = _touching(fires, start, mid)
+        fired_right = _touching(fires, mid, end)
+        left = _enc(t.left, fires, start) if fired_left else t.left
+        right = _enc(t.right, fires, mid) if fired_right else t.right
+        if fired_left and fired_right and _touching(fires, start, end) == 1:
+            (step,) = transitions(Par(left, right))
+            return TauPrefix(step.target)
+        return Par(left, right)
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -570,8 +520,7 @@ def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV, *,
     _require_guarded(q, env)
     prover = Prover(env, unfold_cap)
     if not prover.eq(p, q):
-        return False, (prover.unmatched(p, q)
-                       or {"side": "both", "summand": "?"})
+        return False, prover.unmatched(p, q)
     np_, steps_p = prover.normalize(p)
     nq_, steps_q = prover.normalize(q)
     trace = list(steps_p)
