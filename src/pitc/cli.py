@@ -22,7 +22,7 @@ from .errors import (
 )
 from .parser import SourceFile, format_process, parse_file, parse_term
 from .syntax import EMPTY_ENV, Environment, Process, canonical
-from .semantics import format_label, transition_json, transitions
+from .semantics import transition_json, transitions
 from .unfolding import DEFAULT_STATE_BUDGET, unfold
 from .equivalences import DEFAULT_DEPTH, DEFAULT_MAX_POMSET, check
 from .prover import prove_eq
@@ -102,7 +102,7 @@ def cmd_step(args: argparse.Namespace) -> int:
                           indent=2))
     else:
         for t in ts:
-            _print(f"{format_label(t.label)} -> {format_process(t.target)}")
+            _print(str(t))
     return EXIT_OK
 
 

@@ -208,11 +208,9 @@ def _require_guarded(p: Process, env: Environment) -> None:
 class Prover:
     """Shared normalization and equality engine with cross-call memo tables."""
 
-    def __init__(self, env: Environment = EMPTY_ENV,
-                 unfold_cap: int = DEFAULT_UNFOLD_CAP) -> None:
+    def __init__(self, env: Environment = EMPTY_ENV) -> None:
         self.env = env
-        self.unfold_cap = unfold_cap
-        self.fuel = unfold_cap
+        self.fuel = DEFAULT_UNFOLD_CAP
         self._norm_cache: dict[Process, tuple[Process, tuple[TraceStep, ...]]] = {}
         self._sums_cache: dict[Process, tuple[Summand, ...]] = {}
         self._eq_memo: dict[tuple, bool] = {}
@@ -254,7 +252,7 @@ class Prover:
         if isinstance(t, Call):
             if self.fuel <= 0:
                 raise DepthExceeded(
-                    f"unfold cap {self.unfold_cap} reached while normalizing")
+                    f"unfold cap {DEFAULT_UNFOLD_CAP} reached while normalizing")
             self.fuel -= 1
             return ("I", path, t, self.env.instantiate(t))
         if isinstance(t, Sum):
@@ -494,31 +492,28 @@ def _enc(t: Process, fires: Sequence[Fire], start: int = 1) -> Process:
 # Public operations
 # --------------------------------------------------------------------------
 
-def hnf(p: Process, env: Environment = EMPTY_ENV, *,
-        unfold_cap: int = DEFAULT_UNFOLD_CAP
+def hnf(p: Process, env: Environment = EMPTY_ENV
         ) -> tuple[HeadNormalForm, ProofTrace]:
-    return Prover(env, unfold_cap).hnf(p)
+    return Prover(env).hnf(p)
 
 
-def expand(p: Process, env: Environment = EMPTY_ENV, *,
-           unfold_cap: int = DEFAULT_UNFOLD_CAP) -> Process:
+def expand(p: Process, env: Environment = EMPTY_ENV) -> Process:
     """The right-hand side of the expansion law for a parallel composition."""
     if not isinstance(p, Par):
         raise ValueError("expand takes a parallel composition")
-    prover = Prover(env, unfold_cap)
+    prover = Prover(env)
     _require_guarded(p, env)
     nl, _ = prover.normalize(p.left)
     nr, _ = prover.normalize(p.right)
     return _distinct_sum([s.enc for s in prover.summands_of(Par(nl, nr))])
 
 
-def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV, *,
-             unfold_cap: int = DEFAULT_UNFOLD_CAP
+def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV
              ) -> tuple[bool, ProofTrace | dict]:
     """Decide STC-provable equality; on success the trace replays p into q."""
     _require_guarded(p, env)
     _require_guarded(q, env)
-    prover = Prover(env, unfold_cap)
+    prover = Prover(env)
     if not prover.eq(p, q):
         return False, prover.unmatched(p, q)
     np_, steps_p = prover.normalize(p)
@@ -533,10 +528,9 @@ def prove_eq(p: Process, q: Process, env: Environment = EMPTY_ENV, *,
     return True, trace
 
 
-def depth(p: Process, env: Environment = EMPTY_ENV, *,
-          unfold_cap: int = DEFAULT_UNFOLD_CAP) -> int:
+def depth(p: Process, env: Environment = EMPTY_ENV) -> int:
     """The completeness proof's depth measure over head normal forms."""
-    prover = Prover(env, unfold_cap)
+    prover = Prover(env)
     memo: dict[Process, int] = {}
     active: set[Process] = set()
 

@@ -6,8 +6,9 @@ and used as a dictionary key.
 
 Process nodes are hash-consed: a constructor call returns the one node of
 that structure, so structural equality is identity and hashing is O(1).
-Each node memoizes its free names, all its names, its canonical form and
-its count of prefixes and calls.
+A node's free names, all its names, its count of prefixes and calls and
+its prefix height are computed from its children's when it is interned;
+only its canonical form is memoized lazily, on first use.
 """
 
 from __future__ import annotations
@@ -135,27 +136,31 @@ def shared_names(names: frozenset[Name]) -> frozenset[Name]:
 class _Interned(type):
     """Metaclass of the process nodes: a constructor call returns the one
     node of that structure (hash-consing, after Filliatre & Conchon,
-    "Type-Safe Modular Hash-Consing", ML Workshop 2006)."""
+    "Type-Safe Modular Hash-Consing", ML Workshop 2006).  Children are
+    interned before their parent, so a new node's facts (`_facts`) are
+    read off its children's slots."""
 
     def __call__(cls, *fields):
         key = (cls, *fields)
         node = _NODES.get(key)
         if node is None:
             node = super().__call__(*fields)
-            _set_slot(node, "_free", None)
-            _set_slot(node, "_all", None)
+            free, names, pos, height = _facts(node)
+            _set_slot(node, "_free", shared_names(free))
+            _set_slot(node, "_all", shared_names(names))
+            _set_slot(node, "_pos", pos)
+            _set_slot(node, "_height", height)
             _set_slot(node, "_canon", None)
-            _set_slot(node, "_pos", None)
             # setdefault: two threads never make two nodes of one structure.
             node = _NODES.setdefault(key, node)
         return node
 
 
 class _Node(metaclass=_Interned):
-    """Memo slots of a process node; copies and unpickling return the
-    interned node itself."""
+    """Fact and memo slots of a process node; copies and unpickling return
+    the interned node itself."""
 
-    __slots__ = ("_free", "_all", "_canon", "_pos")
+    __slots__ = ("_free", "_all", "_pos", "_height", "_canon")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -217,6 +222,36 @@ class Call(_Node):
 
 Process = Nil | TauPrefix | OutputPrefix | InputPrefix | Restriction | Sum | Par | Call
 
+
+def _facts(p: Process) -> tuple[frozenset[Name], frozenset[Name], int, Optional[int]]:
+    """Free names, all names, positions and prefix height of a new node,
+    from the slots of its children."""
+    cls = type(p)
+    if cls is Nil:
+        return frozenset(), frozenset(), 0, 0
+    if cls is Call:
+        names = frozenset(p.args)
+        return names, names, 1, None
+    if cls is Restriction:
+        body = p.body
+        return body._free - {p.binder}, body._all | {p.binder}, body._pos, body._height
+    if cls is Sum or cls is Par:
+        left, right = p.left, p.right
+        hl, hr = left._height, right._height
+        return (left._free | right._free, left._all | right._all,
+                left._pos + right._pos, None if hl is None or hr is None else max(hl, hr))
+    cont = p.cont
+    free, names, h = cont._free, cont._all, cont._height
+    h = None if h is None else h + 1
+    if cls is OutputPrefix:
+        free = free | {p.subject, p.object}
+        names = names | {p.subject, p.object}
+    elif cls is InputPrefix:
+        free = (free - {p.binder}) | {p.subject}
+        names = names | {p.subject, p.binder}
+    return free, names, 1 + cont._pos, h
+
+
 NIL = Nil()
 
 
@@ -249,67 +284,18 @@ def subterms(p: Process) -> Iterator[Process]:
 
 
 def free_names(p: Process) -> frozenset[Name]:
-    return _free(p)
-
-
-def _free(p: Process) -> frozenset[Name]:
-    """Memoized free names of `p`.  The module's own walks call this, so
-    a wrapper put around `free_names` sees only the outside calls."""
     try:
-        out = p._free
+        return p._free
     except AttributeError:
         raise TypeError(f"not a process: {p!r}") from None
-    if out is not None:
-        return out
-    if isinstance(p, Nil):
-        out = frozenset()
-    elif isinstance(p, TauPrefix):
-        out = _free(p.cont)
-    elif isinstance(p, OutputPrefix):
-        out = _free(p.cont) | {p.subject, p.object}
-    elif isinstance(p, InputPrefix):
-        out = (_free(p.cont) - {p.binder}) | {p.subject}
-    elif isinstance(p, Restriction):
-        out = _free(p.body) - {p.binder}
-    elif isinstance(p, (Sum, Par)):
-        out = _free(p.left) | _free(p.right)
-    else:
-        out = frozenset(p.args)
-    out = shared_names(out)
-    _set_slot(p, "_free", out)
-    return out
 
 
 def all_names(p: Process) -> frozenset[Name]:
     """Every name occurring in `p`, free or bound."""
-    return _all(p)
-
-
-def _all(p: Process) -> frozenset[Name]:
-    """Memoized `all_names`."""
     try:
-        out = p._all
+        return p._all
     except AttributeError:
         raise TypeError(f"not a process: {p!r}") from None
-    if out is not None:
-        return out
-    if isinstance(p, Nil):
-        out = frozenset()
-    elif isinstance(p, TauPrefix):
-        out = _all(p.cont)
-    elif isinstance(p, OutputPrefix):
-        out = _all(p.cont) | {p.subject, p.object}
-    elif isinstance(p, InputPrefix):
-        out = _all(p.cont) | {p.subject, p.binder}
-    elif isinstance(p, Restriction):
-        out = _all(p.body) | {p.binder}
-    elif isinstance(p, (Sum, Par)):
-        out = _all(p.left) | _all(p.right)
-    else:
-        out = frozenset(p.args)
-    out = shared_names(out)
-    _set_slot(p, "_all", out)
-    return out
 
 
 def bound_names(p: Process) -> frozenset[Name]:
@@ -317,41 +303,14 @@ def bound_names(p: Process) -> frozenset[Name]:
 
 
 def positions(p: Process) -> int:
-    """Memoized count of the prefixes and calls of `p`: the positions an
-    annotated term (`semantics.ATerm`) annotates."""
-    out = p._pos
-    if out is None:
-        if isinstance(p, Nil):
-            out = 0
-        elif isinstance(p, (TauPrefix, OutputPrefix, InputPrefix)):
-            out = 1 + positions(p.cont)
-        elif isinstance(p, Restriction):
-            out = positions(p.body)
-        elif isinstance(p, (Sum, Par)):
-            out = positions(p.left) + positions(p.right)
-        else:
-            out = 1
-        _set_slot(p, "_pos", out)
-    return out
+    """Count of the prefixes and calls of `p`: the positions an annotated
+    term (`semantics.ATerm`) annotates."""
+    return p._pos
 
 
 def prefix_height(p: Process) -> Optional[int]:
     """Longest chain of nested prefixes; None when a Call makes it unbounded."""
-    if isinstance(p, Nil):
-        return 0
-    if isinstance(p, TauPrefix):
-        h = prefix_height(p.cont)
-        return None if h is None else h + 1
-    if isinstance(p, (OutputPrefix, InputPrefix)):
-        h = prefix_height(p.cont)
-        return None if h is None else h + 1
-    if isinstance(p, Restriction):
-        return prefix_height(p.body)
-    if isinstance(p, (Sum, Par)):
-        a = prefix_height(p.left)
-        b = prefix_height(p.right)
-        return None if a is None or b is None else max(a, b)
-    return None  # Call
+    return p._height
 
 
 # --------------------------------------------------------------------------
@@ -373,11 +332,8 @@ def substitute(p: Process, sub: Mapping[Name, Name]) -> Process:
 
 
 def _subst(p: Process, sub: dict[Name, Name]) -> Process:
-    free = p._free
-    if (free if free is not None else _free(p)).isdisjoint(sub):
+    if p._free.isdisjoint(sub):
         return p
-    # Computing the free names of `p` memoized those of its children, so
-    # a child that keeps no name of `sub` is kept without a call.
     if isinstance(p, OutputPrefix):
         cont = p.cont
         return OutputPrefix(sub.get(p.subject, p.subject), sub.get(p.object, p.object),
@@ -399,13 +355,13 @@ def _subst(p: Process, sub: dict[Name, Name]) -> Process:
 
 def _subst_binder(binder: Name, scope: Process,
                   sub: dict[Name, Name]) -> tuple[Name, Process]:
-    free = _free(scope)
+    free = scope._free
     relevant = {k: v for k, v in sub.items() if k != binder and k in free}
     if not relevant:
         return binder, scope
     if binder in relevant.values():
         # Renaming first keeps the incoming names from being captured.
-        avoid = _all(scope) | set(relevant) | set(relevant.values()) | {binder}
+        avoid = scope._all | set(relevant) | set(relevant.values()) | {binder}
         newb = fresh_name(avoid)
         scope = _subst(scope, {binder: newb})
         binder = newb
@@ -428,7 +384,7 @@ def canonical(p: Process) -> Process:
     except AttributeError:
         raise TypeError(f"not a process: {p!r}") from None
     if out is None:
-        out = _canon(p, {}, _binder_names(_free(p)))
+        out = _canon(p, {}, _binder_names(p._free))
         _set_slot(out, "_canon", out)
         _set_slot(p, "_canon", out)
     return out

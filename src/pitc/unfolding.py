@@ -71,12 +71,9 @@ class PomsetTransition:
 class UnfoldedLTS:
     """Step-unfolding of one process, with the recovered event structure."""
 
-    def __init__(self, process: Process, env: Environment, depth: int,
-                 budget: int) -> None:
+    def __init__(self, process: Process, depth: int) -> None:
         self.process = process
-        self.env = env
         self.depth = depth
-        self.budget = budget
         self.root: Config = frozenset()
         self.nodes: dict[Config, NodeRecord] = {}
         self.events: dict[int, Event] = {}
@@ -204,7 +201,7 @@ def unfold(p: Process, env: Environment = EMPTY_ENV, depth: int = 1, *,
     """Breadth-first unfolding of step transitions to `depth` layers."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    u = UnfoldedLTS(p, env, depth, budget)
+    u = UnfoldedLTS(p, depth)
     alloc = Alloc()
     base_avoid = frozenset(all_names(p) | env.names() | set(avoid))
     u.nodes[u.root] = NodeRecord(u.root, annotate(p, alloc))

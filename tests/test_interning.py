@@ -1,9 +1,9 @@
-"""Hash-consed process terms and their memoized name sets and canonical
-forms.
+"""Hash-consed process terms, the facts computed when they are interned,
+and their memoized canonical forms.
 
 Every structurally equal term is one object, however it was built, and
-the memoized `free_names`, `all_names` and `canonical` agree with the
-direct, unmemoized walks kept here as a reference.
+`free_names`, `all_names`, `positions`, `prefix_height` and `canonical`
+agree with the direct, unmemoized walks kept here as a reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pitc import (
     canonical, free_names, parse_file, parse_term, substitute, transitions,
 )
 from pitc.semantics import Alloc, annotate, clear_caches
-from pitc.syntax import all_names
+from pitc.syntax import all_names, positions, prefix_height
 
 from helpers import alpha_variant, random_process, rng_for
 
@@ -64,6 +64,33 @@ def ref_all_names(p) -> frozenset:
     if isinstance(p, Call):
         return frozenset(p.args)
     return frozenset()
+
+
+def ref_positions(p) -> int:
+    if isinstance(p, (TauPrefix, OutputPrefix, InputPrefix)):
+        return 1 + ref_positions(p.cont)
+    if isinstance(p, Restriction):
+        return ref_positions(p.body)
+    if isinstance(p, (Sum, Par)):
+        return ref_positions(p.left) + ref_positions(p.right)
+    if isinstance(p, Call):
+        return 1
+    return 0
+
+
+def ref_prefix_height(p):
+    """Longest chain of nested prefixes; None under a call."""
+    if isinstance(p, (TauPrefix, OutputPrefix, InputPrefix)):
+        h = ref_prefix_height(p.cont)
+        return None if h is None else h + 1
+    if isinstance(p, Restriction):
+        return ref_prefix_height(p.body)
+    if isinstance(p, (Sum, Par)):
+        a, b = ref_prefix_height(p.left), ref_prefix_height(p.right)
+        return None if a is None or b is None else max(a, b)
+    if isinstance(p, Call):
+        return None
+    return 0
 
 
 def ref_canonical(p):
@@ -163,11 +190,29 @@ def test_memos_agree_with_reference_walks(seed, depth):
     for t in (p, variant, Sum(p, Call("Z", ("a", "b0")))):
         assert free_names(t) == ref_free_names(t)
         assert all_names(t) == ref_all_names(t)
+        assert positions(t) == ref_positions(t)
+        assert prefix_height(t) == ref_prefix_height(t)
         assert canonical(t) is ref_canonical(t)
         # A second call reads the memo.
         assert free_names(t) is free_names(t)
         assert canonical(t) is canonical(t)
     assert canonical(p) is canonical(variant)
+
+
+def test_facts_of_deep_terms():
+    """A 10,000-prefix chain and a 10,000-deep `Par` spine: every fact is
+    read off the node, so none of them hits the recursion limit."""
+    n = 10_000
+    chain = spine = NIL
+    for _ in range(n):
+        chain = OutputPrefix("a", "b", chain)
+        spine = Par(spine, InputPrefix("c", "x", OutputPrefix("x", "d", NIL)))
+    assert free_names(chain) == all_names(chain) == {"a", "b"}
+    assert positions(chain) == prefix_height(chain) == n
+    assert free_names(spine) == {"c", "d"}
+    assert all_names(spine) == {"c", "d", "x"}
+    assert positions(spine) == 2 * n
+    assert prefix_height(spine) == 2
 
 
 def test_threads_build_one_node_per_structure():
